@@ -12,6 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from netgames.experiments import derive_seed
 from netgames.pairchain import expected_payoffs, monte_carlo_payoffs
 from netgames.strategies import CATALOG_NAMES, DEFAULT_MATRIX, named_strategy
 
@@ -26,15 +27,15 @@ def main() -> int:
     width = max(len(n) for n in names) + 2
     print("".rjust(width) + "".join(n.rjust(width) for n in names))
     worst = 0.0
-    for na in names:
+    for ia, na in enumerate(names):
         row = na.rjust(width)
-        for nb in names:
+        for ib, nb in enumerate(names):
             e = expected_payoffs(named_strategy(na), named_strategy(nb), DEFAULT_MATRIX)
             row += f"{e.e_ab:.3f}".rjust(width)
             if args.check:
                 mc = monte_carlo_payoffs(
                     named_strategy(na), named_strategy(nb), DEFAULT_MATRIX,
-                    args.rounds, seed=hash((na, nb)) % 2**32,
+                    args.rounds, seed=derive_seed(ia, ib),
                 )
                 worst = max(worst, abs(mc.e_ab - e.e_ab), abs(mc.e_ba - e.e_ba))
         print(row)

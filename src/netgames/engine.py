@@ -7,6 +7,10 @@ memory is updated. An edge that has never been played yet gets an
 unconditioned first move: both endpoints cooperate with probability 1/2,
 independent of strategy. Edge memory is stored from the lower-indexed
 endpoint's perspective.
+
+The round reuses work buffers kept on the Network, so it allocates nothing
+|E|-sized per call; populations sharing a network must therefore not play
+their rounds concurrently.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ import csv
 import numpy as np
 
 from .networks import Network
-from .strategies import MemoryOneStrategy, PayoffMatrix
+from .strategies import PERSPECTIVE_SWAP, MemoryOneStrategy, PayoffMatrix
 
 UNPLAYED = 4  # edge-memory sentinel beyond the four outcome states
-
-# perspective swap for the higher-indexed endpoint: CD <-> DC, UNPLAYED fixed
-_SWAP = np.array([0, 2, 1, 3, 4], dtype=np.int8)
+_STATES = UNPLAYED + 1
+# pair codes (a * k + b) * _STATES + memory must fit the int16 code array
+_MAX_STRATEGIES = 80
 
 
 class IsolatedNode(ValueError):
@@ -29,12 +33,18 @@ class IsolatedNode(ValueError):
 
 
 class Population:
-    """Mutable per-run state: strategy index, cumulative payoff, pair memory."""
+    """Mutable per-run state: strategy index, cumulative payoff, pair memory.
+
+    Change a node's strategy only through :func:`set_strategy`, which also
+    keeps the per-edge pair codes the round looks its probabilities up by.
+    """
 
     def __init__(self, net: Network, strategies, strat: np.ndarray) -> None:
         strategies = tuple(strategies)
         if not strategies:
             raise ValueError("strategy table must be non-empty")
+        if len(strategies) > _MAX_STRATEGIES:
+            raise ValueError(f"at most {_MAX_STRATEGIES} strategies per table")
         strat = np.asarray(strat, dtype=np.int64)
         if strat.shape != (net.n,):
             raise ValueError("need one strategy index per node")
@@ -46,9 +56,22 @@ class Population:
         self.pay = np.zeros(net.n)
         self.mem = np.full(net.num_edges, UNPLAYED, dtype=np.int8)
         self.counts = np.bincount(strat, minlength=len(strategies))
-        self._coop = np.array([[s.p1, s.p2, s.p3, s.p4, 0.5] for s in strategies])
-        self._eu = np.ascontiguousarray(net.edges[:, 0])
-        self._ev = np.ascontiguousarray(net.edges[:, 1])
+        if net._edge_arrays is None:
+            net._edge_arrays = _edge_arrays(net)
+        self._eu, self._ev, is_lower, self._buffers = net._edge_arrays
+        # cooperation probability of either endpoint, indexed by pair code +
+        # edge memory; the v side's table reads memory from u's perspective
+        k = len(strategies)
+        coop = np.array([[*s.probs, 0.5] for s in strategies])
+        swap = [*PERSPECTIVE_SWAP, UNPLAYED]
+        self._coop_u = np.broadcast_to(coop[:, None, :], (k, k, _STATES)).ravel()
+        self._coop_v = np.broadcast_to(coop[None, :, swap], (k, k, _STATES)).ravel()
+        # pair code (strat[u] * k + strat[v]) * _STATES per edge, in int16 throughout
+        self._code = (strat * k).astype(np.int16)[self._eu]
+        self._code += strat.astype(np.int16)[self._ev]
+        self._code *= _STATES
+        # code change per unit change of a CSR entry's node's strategy
+        self._code_step = np.where(is_lower, np.int16(k * _STATES), np.int16(_STATES))
 
     @property
     def n(self) -> int:
@@ -56,6 +79,29 @@ class Population:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.strategies)
+
+
+def _edge_arrays(net: Network) -> tuple:
+    """Per-network arrays of the edge round, shared by its populations.
+
+    The endpoint columns, whether each CSR entry's node is its edge's lower
+    endpoint, and the round's |E|-sized work buffers.
+    """
+    e = net.num_edges
+    indptr, nbr, _ = net.csr()
+    owner = np.repeat(np.arange(net.n, dtype=np.int32), np.diff(indptr))
+    buffers = (
+        np.empty(2 * e),  # uniform draws: all u sides, then all v sides
+        np.empty(e),  # probabilities, then payoffs, of one side
+        np.empty(2 * e, dtype=bool),  # cooperate? u sides, then v sides
+        np.empty(e, dtype=np.intp),  # table index, then outcome
+    )
+    return (
+        np.ascontiguousarray(net.edges[:, 0]),
+        np.ascontiguousarray(net.edges[:, 1]),
+        owner < nbr,
+        buffers,
+    )
 
 
 def _round_half_up(x: float) -> int:
@@ -117,20 +163,30 @@ def play_step(pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> Non
 
     Draw order is fixed (all lower-endpoint draws, then all higher-endpoint
     draws, in sorted edge order) so runs are bit-reproducible for a seed.
+    Every |E|-sized intermediate lives in the network's reused buffers.
     """
-    eu, ev, mem = pop._eu, pop._ev, pop.mem
-    coop = pop._coop
-    pu = coop[pop.strat[eu], mem]
-    pv = coop[pop.strat[ev], _SWAP[mem]]
+    mem = pop.mem
     num_e = len(mem)
-    cu = rng.random(num_e) < pu
-    cv = rng.random(num_e) < pv
-    new = 2 * (~cu) + (~cv)  # 0..3 outcome from the lower endpoint's perspective
-    pay_u = np.array([m.r, m.s, m.t, m.p])[new]
-    pay_v = np.array([m.r, m.t, m.s, m.p])[new]
-    pop.pay += np.bincount(eu, weights=pay_u, minlength=pop.n)
-    pop.pay += np.bincount(ev, weights=pay_v, minlength=pop.n)
-    mem[:] = new
+    draws, prob, coop, idx = pop._buffers
+    coop_u, coop_v = coop[:num_e], coop[num_e:]
+    np.add(pop._code, mem, out=idx)
+    rng.random(out=draws)
+    # mode="clip" lets take write straight into out; the indices are in range
+    np.take(pop._coop_u, idx, out=prob, mode="clip")
+    np.less(draws[:num_e], prob, out=coop_u)
+    np.take(pop._coop_v, idx, out=prob, mode="clip")
+    np.less(draws[num_e:], prob, out=coop_v)
+    # 0..3 outcome from the lower endpoint's perspective: 3 - 2 c_u - c_v
+    cu, cv = coop_u.view(np.int8), coop_v.view(np.int8)
+    np.add(cu, cu, out=mem)
+    np.add(mem, cv, out=mem)
+    np.subtract(3, mem, out=mem)
+    np.copyto(idx, mem)
+    pay_u, pay_v = m.outcome_payoffs
+    np.take(pay_u, idx, out=prob, mode="clip")
+    pop.pay += np.bincount(pop._eu, weights=prob, minlength=pop.n)
+    np.take(pay_v, idx, out=prob, mode="clip")
+    pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
 
 
 def fitness(pop: Population, node: int) -> float:
@@ -152,12 +208,15 @@ def reset_node(pop: Population, node: int) -> None:
 
 
 def set_strategy(pop: Population, node: int, strategy_index: int) -> None:
-    """Reassign a node's strategy, keeping the class counts current."""
-    old = pop.strat[node]
+    """Reassign a node's strategy, keeping the class counts and pair codes current."""
+    old = int(pop.strat[node])
     if old != strategy_index:
         pop.counts[old] -= 1
         pop.counts[strategy_index] += 1
         pop.strat[node] = strategy_index
+        indptr, _, eid = pop.net.csr()
+        lo, hi = indptr[node], indptr[node + 1]
+        pop._code[eid[lo:hi]] += (strategy_index - old) * pop._code_step[lo:hi]
 
 
 def write_snapshot(pop: Population, path) -> None:

@@ -103,6 +103,14 @@ class Scenario:
             raise ValueError("fraction_a outside [0, 1]")
         if self.replicates < 1 or self.steps < 1:
             raise ValueError("replicates and steps must be >= 1")
+        if self.sample_every < 1:
+            raise ValueError(f"sample_every={self.sample_every} must be >= 1")
+        if not self.rho_tol > 0.0:
+            raise ValueError(f"rho_tol={self.rho_tol} must be > 0")
+        if self.rewire_max_steps < 1:
+            raise ValueError(f"rewire_max_steps={self.rewire_max_steps} must be >= 1")
+        if not 0.0 < self.replacement_rate <= 1.0:
+            raise ValueError(f"replacement_rate={self.replacement_rate} outside (0, 1]")
         if self.rho_targets and self.family != "ba":
             raise ValueError("assortativity sweeps need the ba family")
 
@@ -417,7 +425,7 @@ def _execute_run(
     runs_dir: Path | None,
 ) -> RunRecord:
     rep = run_index - group * s.replicates
-    if net is None:  # sweep replicate: build this run's own network
+    if net is None:  # sweep replicate after the first: build its own network
         try:
             net, achieved_rho = _build_network(s, group, target, rep)
         except TargetUnreachable as exc:
@@ -498,20 +506,22 @@ def run_scenario(
     tasks = []
     for gi, target in enumerate(targets):
         if sweep:
-            # representative instance: fail fast on unreachable targets and
-            # give the output directory one inspectable network per target
-            rep_net, _ = _build_network(s, gi, target, rep=0)
-            write_edgelist(rep_net, out / f"network_{gi:02d}.edges")
-            shared, rho = None, float("nan")
+            # representative instance, also replicate 0's network: fail fast
+            # on unreachable targets and give the output directory one
+            # inspectable network per target
+            net, rho = _build_network(s, gi, target, rep=0)
+            write_edgelist(net, out / f"network_{gi:02d}.edges")
         else:
             try:
-                shared, rho = _build_network(s, gi, target, rep=0)
+                net, rho = _build_network(s, gi, target, rep=0)
             except Exception as exc:
                 raise type(exc)(f"scenario {s.name}: {exc}") from exc
-            write_edgelist(shared, out / "network.edges")
+            write_edgelist(net, out / "network.edges")
         for rep in range(s.replicates):
             run_index = gi * s.replicates + rep
-            tasks.append((s, shared, gi, target, rho, run_index, runs_dir))
+            tasks.append((s, net, gi, target, rho, run_index, runs_dir))
+            if sweep:  # later sweep replicates build their own draws
+                net, rho = None, float("nan")
 
     records: list[RunRecord] = []
     if parallelism > 1:

@@ -54,6 +54,9 @@ class Network:
         self.edges = arr
         self.degrees = np.bincount(arr.ravel(), minlength=self.n)
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # engine's per-network edge-round arrays and work buffers, made by
+        # the first Population on this network and shared by every later one
+        self._edge_arrays: tuple | None = None
 
     @property
     def num_edges(self) -> int:
@@ -82,9 +85,6 @@ class Network:
     def neighbors(self, node: int) -> np.ndarray:
         indptr, nbr, _ = self.csr()
         return nbr[indptr[node] : indptr[node + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
 
     def is_connected(self) -> bool:
         if self.n == 1:

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategies import MemoryOneStrategy, PayoffMatrix
-
-# state order CC, CD, DC, DD; the opponent sees CD and DC swapped
-_SWAP = (0, 2, 1, 3)
+from .strategies import PERSPECTIVE_SWAP, MemoryOneStrategy, PayoffMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +45,7 @@ class ExpectedPayoffPair:
 def build_chain(a: MemoryOneStrategy, b: MemoryOneStrategy) -> PairChain:
     """Transition matrix for A playing B, rows and columns in A's perspective."""
     pa = np.array(a.probs)
-    pb = np.array(b.probs)[list(_SWAP)]
+    pb = np.array(b.probs)[list(PERSPECTIVE_SWAP)]
     m = np.empty((4, 4))
     m[:, 0] = pa * pb
     m[:, 1] = pa * (1.0 - pb)
@@ -134,18 +131,12 @@ def stationary_distribution(chain: PairChain) -> np.ndarray:
     return out
 
 
-def _payoff_vectors(m: PayoffMatrix) -> tuple[np.ndarray, np.ndarray]:
-    pay_a = np.array([m.r, m.s, m.t, m.p])
-    pay_b = np.array([m.r, m.t, m.s, m.p])
-    return pay_a, pay_b
-
-
 def expected_payoffs(
     a: MemoryOneStrategy, b: MemoryOneStrategy, m: PayoffMatrix
 ) -> ExpectedPayoffPair:
     """Analytic long-run mean per-round payoffs for the ordered pair (A, B)."""
     occ = limit_distribution(build_chain(a, b))
-    pay_a, pay_b = _payoff_vectors(m)
+    pay_a, pay_b = m.outcome_payoffs
     return ExpectedPayoffPair(float(occ @ pay_a), float(occ @ pay_b))
 
 
@@ -166,9 +157,8 @@ def monte_carlo_payoffs(
         raise ValueError("rounds must be >= 1")
     rng = np.random.default_rng(seed)
     pa = a.probs
-    pb = (b.p1, b.p3, b.p2, b.p4)  # b's cooperation probability given A's state label
-    ra = (m.r, m.s, m.t, m.p)
-    rb = (m.r, m.t, m.s, m.p)
+    pb = tuple(b.probs[o] for o in PERSPECTIVE_SWAP)  # indexed by A's state label
+    ra, rb = m.outcome_payoffs.tolist()
     total_a = 0.0
     total_b = 0.0
     base, extra = divmod(rounds, 4)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+
+import numpy as np
 
 _FEAS_TOL = 1e-9  # float dust allowed at the [0, 1] boundaries before rejecting
 
@@ -25,13 +28,13 @@ class Outcome(IntEnum):
     DD = 3
 
 
+# PERSPECTIVE_SWAP[o] is outcome o seen by the other player: CD <-> DC
+PERSPECTIVE_SWAP: tuple[Outcome, ...] = (Outcome.CC, Outcome.DC, Outcome.CD, Outcome.DD)
+
+
 def swap_perspective(o: Outcome) -> Outcome:
     """Re-express an outcome from the other player's point of view (CD <-> DC)."""
-    if o == Outcome.CD:
-        return Outcome.DC
-    if o == Outcome.DC:
-        return Outcome.CD
-    return o
+    return PERSPECTIVE_SWAP[o]
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,18 @@ class PayoffMatrix:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.t, self.r, self.p, self.s)
+
+    @cached_property
+    def outcome_payoffs(self) -> np.ndarray:
+        """Read-only (2, 4) payoffs per outcome, columns in Outcome order.
+
+        Row 0 is the focal player's payoff and row 1 the opponent's, for the
+        outcome as the focal player sees it.
+        """
+        focal = np.array([self.r, self.s, self.t, self.p])
+        table = np.stack([focal, focal[list(PERSPECTIVE_SWAP)]])
+        table.flags.writeable = False
+        return table
 
 
 DEFAULT_MATRIX = PayoffMatrix(t=5.0, r=3.0, p=1.0, s=0.0)
@@ -83,10 +98,6 @@ class MemoryOneStrategy:
     @property
     def probs(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)
-
-    def coop_prob(self, o: Outcome) -> float:
-        """Probability of cooperating after outcome ``o`` (own perspective)."""
-        return self.probs[int(o)]
 
 
 def _snap_unit(x: float) -> float | None:
@@ -139,13 +150,8 @@ def zd_pinned_payoff(p1: float, p4: float, m: PayoffMatrix = DEFAULT_MATRIX) -> 
 
 def round_payoffs(o: Outcome, m: PayoffMatrix) -> tuple[float, float]:
     """Per-round payoffs (focal, opponent) for a joint outcome."""
-    table = {
-        Outcome.CC: (m.r, m.r),
-        Outcome.CD: (m.s, m.t),
-        Outcome.DC: (m.t, m.s),
-        Outcome.DD: (m.p, m.p),
-    }
-    return table[Outcome(o)]
+    focal, opponent = m.outcome_payoffs[:, Outcome(o)]
+    return float(focal), float(opponent)
 
 
 CATALOG: dict[str, MemoryOneStrategy] = {

@@ -20,7 +20,7 @@ from netgames.networks import Network, barabasi_albert, regular_random
 from netgames.pairchain import expected_payoffs
 from netgames.strategies import CATALOG, DEFAULT_MATRIX, Outcome, named_strategy, round_payoffs
 
-from conftest import connected_graphs
+from conftest import connected_graphs, memory_one_strategies, payoff_matrices
 
 M = DEFAULT_MATRIX
 ZD = named_strategy("zd_default")
@@ -167,6 +167,85 @@ class TestPlayStep:
                 want = expected_payoffs(a, b, M)
                 assert abs(got_a - want.e_ab) < 0.05, (na, nb)
                 assert abs(got_b - want.e_ba) < 0.05, (na, nb)
+
+
+_REF_SWAP = np.array([0, 2, 1, 3, 4], dtype=np.int8)
+
+
+def dense_round_reference(pop, m, rng):
+    """The edge round as first written, with fresh temporaries every call.
+
+    The buffered play_step must match it bit for bit: same draws, same
+    memories, same payoff sums.
+    """
+    eu, ev, mem = pop.net.edges[:, 0], pop.net.edges[:, 1], pop.mem
+    coop = np.array([[s.p1, s.p2, s.p3, s.p4, 0.5] for s in pop.strategies])
+    pu = coop[pop.strat[eu], mem]
+    pv = coop[pop.strat[ev], _REF_SWAP[mem]]
+    num_e = len(mem)
+    cu = rng.random(num_e) < pu
+    cv = rng.random(num_e) < pv
+    new = 2 * (~cu) + (~cv)  # 0..3 outcome from the lower endpoint's perspective
+    pay_u = np.array([m.r, m.s, m.t, m.p])[new]
+    pay_v = np.array([m.r, m.t, m.s, m.p])[new]
+    pop.pay += np.bincount(eu, weights=pay_u, minlength=pop.n)
+    pop.pay += np.bincount(ev, weights=pay_v, minlength=pop.n)
+    mem[:] = new
+
+
+class TestReferenceEquivalence:
+    @given(
+        connected_graphs(),
+        # catalog entries add deterministic 0/1 cooperation probabilities
+        st.lists(
+            st.one_of(memory_one_strategies(), st.sampled_from(sorted(CATALOG.values(), key=str))),
+            min_size=1,
+            max_size=3,
+        ),
+        payoff_matrices(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40)
+    def test_matches_dense_reference_through_strategy_changes(self, net, table, m, seed):
+        k = len(table)
+        events = np.random.default_rng(seed)
+        strat = events.integers(0, k, size=net.n)
+        pop = Population(net, table, strat)
+        ref = Population(net, table, strat.copy())
+        rng_pop = np.random.default_rng(seed + 1)
+        rng_ref = np.random.default_rng(seed + 1)
+        for _ in range(60):
+            play_step(pop, m, rng_pop)
+            dense_round_reference(ref, m, rng_ref)
+            assert np.array_equal(pop.mem, ref.mem)
+            assert np.array_equal(pop.pay, ref.pay)
+            for _ in range(int(events.integers(0, 4))):
+                node, new = int(events.integers(net.n)), int(events.integers(k))
+                reset = events.random() < 0.5
+                for p in (pop, ref):
+                    set_strategy(p, node, new)
+                    if reset:
+                        reset_node(p, node)
+            if events.random() < 0.1:
+                pop.pay[:] = 0.0
+                ref.pay[:] = 0.0
+        assert np.array_equal(pop.counts, ref.counts)
+
+    def test_populations_sharing_a_network_do_not_interfere(self):
+        net = barabasi_albert(300, 2, seed=21)
+        alone = [init_random(net, ZD, PAVLOV, 0.5, seed=s) for s in (22, 23)]
+        for pop, seed in zip(alone, (24, 25)):
+            rng = np.random.default_rng(seed)
+            for _ in range(30):
+                play_step(pop, M, rng)
+        shared = [init_random(net, ZD, PAVLOV, 0.5, seed=s) for s in (22, 23)]
+        rngs = [np.random.default_rng(s) for s in (24, 25)]
+        for _ in range(30):
+            for pop, rng in zip(shared, rngs):
+                play_step(pop, M, rng)
+        for a, b in zip(alone, shared):
+            assert np.array_equal(a.mem, b.mem)
+            assert np.array_equal(a.pay, b.pay)
 
 
 class TestFitnessAndReset:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netgames.experiments as experiments
 from netgames.cli import main
 from netgames.experiments import (
     PRESET_NAMES,
@@ -142,6 +143,43 @@ class TestScenarioMapping:
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
 
 
+_BAD_VALUES = [
+    ("sample_every", 0),
+    ("sample_every", -5),
+    ("rho_tol", 0.0),
+    ("rho_tol", -0.01),
+    ("rho_tol", float("nan")),
+    ("rewire_max_steps", 0),
+    ("replacement_rate", 0.0),
+    ("replacement_rate", -0.1),
+    ("replacement_rate", 1.5),
+]
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("field,value", _BAD_VALUES)
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_scenario(**{field: value})
+
+    @pytest.mark.parametrize("field,value", _BAD_VALUES)
+    def test_rejected_on_load(self, field, value):
+        mapping = scenario_to_mapping(tiny_scenario())
+        mapping[field] = str(value)
+        with pytest.raises(ValueError, match=field):
+            scenario_from_mapping(mapping)
+
+    def test_boundary_values_accepted(self):
+        s = tiny_scenario(sample_every=1, rewire_max_steps=1, replacement_rate=1.0, rho_tol=1e-9)
+        assert s.sample_every == 1 and s.replacement_rate == 1.0
+
+    def test_cli_reports_bad_value_without_traceback(self, tmp_path, capsys):
+        code = main(["run", "fig3_wellmixed_adoption", "--out", str(tmp_path),
+                     "--set", "sample_every=0"])
+        assert code == 1
+        assert "sample_every" in capsys.readouterr().err
+
+
 class TestRunScenario:
     def test_output_layout_and_determinism(self, tmp_path):
         s = tiny_scenario()
@@ -256,6 +294,21 @@ class TestRunScenario:
         assert float(stranded["achieved_rho"]) == closest
         assert abs(closest - 0.2) > 2 * s.rho_tol
         assert abs(float(rows[2]["achieved_rho"]) - 0.2) <= 2 * s.rho_tol
+
+    def test_sweep_rewires_each_draw_once(self, tmp_path, monkeypatch):
+        # replicate 0's network is the target's representative; its task
+        # reuses it instead of rewiring the same draw again
+        seeds = []
+
+        def counting(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return rewire_to_assortativity(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "rewire_to_assortativity", counting)
+        s = self._short_sweep(rho_targets=(-0.1, 0.0), replicates=3)
+        run_scenario(s, out_dir=tmp_path / "sweep")
+        first_attempts = [derive_seed(s.base_seed, 202, g, r, 0) for g in (0, 1) for r in range(3)]
+        assert sorted(seeds) == sorted(first_attempts)
 
     def test_sweep_fails_fast_when_replicate_zero_misses(self, tmp_path):
         s = self._short_sweep(rho_targets=(0.0, 0.9))

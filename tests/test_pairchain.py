@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -156,3 +161,20 @@ class TestMonteCarlo:
     def test_zd_opponent_payoff_near_pinned_value(self):
         mc = monte_carlo_payoffs(PAVLOV, ZD, M, 300_000, seed=6)
         assert abs(mc.e_ab - 2.0) < 0.05
+
+
+class TestPayoffTableScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "pair_payoff_table.py"
+
+    def test_check_is_identical_under_different_hash_seeds(self):
+        # the Monte Carlo seeds must not depend on Python's salted str hash
+        outs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, str(self.SCRIPT), "--check", "--rounds", "400"],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            outs.append(proc.stdout)
+        assert "worst |simulated - analytic| at 400 rounds" in outs[0]
+        assert outs[0] == outs[1]
