@@ -11,21 +11,35 @@ endpoint's perspective.
 The round reuses work buffers kept on the Network, so it allocates nothing
 |E|-sized per call; populations sharing a network must therefore not play
 their rounds concurrently.
+
+Between strategy changes and resets each edge's memory is a Markov chain,
+``pairchain.pair_transition`` of its endpoints' strategies. The on-demand
+path (see :func:`on_demand`) uses that to play an edge only when something
+reads it: an edge last played g steps ago jumps straight to this step's
+outcome with one draw from row ``mem`` of P^g. The dense :func:`play_step`
+stays the reference.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
 from .networks import Network
+from .pairchain import pair_transition
 from .strategies import PERSPECTIVE_SWAP, MemoryOneStrategy, PayoffMatrix
 
 UNPLAYED = 4  # edge-memory sentinel beyond the four outcome states
 _STATES = UNPLAYED + 1
 # pair codes (a * k + b) * _STATES + memory must fit the int16 code array
 _MAX_STRATEGIES = 80
+# on the on-demand path no edge falls more than this many steps behind the
+# clock: the jump table holds P^0 .. P^_MAX_GAP, and the clock settles every
+# edge once the last full settle is this far back (at most 255: see _OnDemand)
+_MAX_GAP = 128
 
 
 class IsolatedNode(ValueError):
@@ -56,6 +70,8 @@ class Population:
         self.pay = np.zeros(net.n)
         self.mem = np.full(net.num_edges, UNPLAYED, dtype=np.int8)
         self.counts = np.bincount(strat, minlength=len(strategies))
+        self.clock = 0  # current step; advanced by tick() on the on-demand path
+        self._on_demand: _OnDemand | None = None
         if net._edge_arrays is None:
             net._edge_arrays = _edge_arrays(net)
         self._eu, self._ev, is_lower, self._buffers = net._edge_arrays
@@ -202,6 +218,8 @@ def reset_node(pop: Population, node: int) -> None:
 
     The strategy is left unchanged; neighbors are unaffected.
     """
+    if pop._on_demand is not None:  # skips a no-op call on the dense path
+        settle(pop, (node,))
     pop.pay[node] = 0.0
     indptr, _, eid = pop.net.csr()
     pop.mem[eid[indptr[node] : indptr[node + 1]]] = UNPLAYED
@@ -211,12 +229,169 @@ def set_strategy(pop: Population, node: int, strategy_index: int) -> None:
     """Reassign a node's strategy, keeping the class counts and pair codes current."""
     old = int(pop.strat[node])
     if old != strategy_index:
+        if pop._on_demand is not None:
+            settle(pop, (node,))
         pop.counts[old] -= 1
         pop.counts[strategy_index] += 1
         pop.strat[node] = strategy_index
         indptr, _, eid = pop.net.csr()
         lo, hi = indptr[node], indptr[node + 1]
         pop._code[eid[lo:hi]] += (strategy_index - old) * pop._code_step[lo:hi]
+
+
+class _OnDemand:
+    """On-demand state of one population: its stream, clock marks and jump table.
+
+    ``full`` is the last step every edge was played, and ``settled[e]`` the
+    last step edge e was, counted from ``full`` (so it fits a byte).
+    ``paid`` lists the node arrays that have had payoffs added this step:
+    the next tick zeroes just those, so a node's payoff is always the sum
+    over its edges played this step.
+    """
+
+    def __init__(self, pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.pay_u, self.pay_v = m.outcome_payoffs
+        self.settled = np.zeros(pop.net.num_edges, dtype=np.uint8)
+        self.full = pop.clock
+        self.paid: list[np.ndarray] = []
+        self.rows = len(pop.strategies) ** 2 * _STATES
+        self.jump = _jump_table(pop.strategies)
+
+
+@lru_cache(maxsize=4)
+def _jump_table(strategies: tuple[MemoryOneStrategy, ...]) -> np.ndarray:
+    """Cumulative rows of P^g, g = 0.._MAX_GAP, for every pair code and memory.
+
+    Column g * k*k*5 + code + mem of the (4, ...) result holds the first four
+    cumulative probabilities of row mem of P^g for that pair; the outcome of
+    a uniform u is the number of them <= u. Each row is divided by its total,
+    so rows that cannot reach UNPLAYED end in exactly 1.
+    """
+    k = len(strategies)
+    rows = k * k * _STATES
+    chain = np.stack([pair_transition(a, b) for a in strategies for b in strategies])
+    table = np.empty((UNPLAYED, (_MAX_GAP + 1) * rows))
+    power = np.broadcast_to(np.eye(_STATES), chain.shape)
+    for g in range(_MAX_GAP + 1):
+        cum = np.cumsum(power, axis=-1)
+        cum = cum[..., :UNPLAYED] / cum[..., UNPLAYED:]
+        table[:, g * rows : (g + 1) * rows] = cum.reshape(rows, UNPLAYED).T
+        # a broadcast product, not matmul: BLAS kernels would add ~0.3 MB of
+        # resident code pages to a run that otherwise never touches them
+        power = (power[..., :, :, None] * chain[:, None, :, :]).sum(axis=-2)
+    table.flags.writeable = False  # shared by every run of this strategy table
+    return table
+
+
+@contextmanager
+def on_demand(pop: Population, m: PayoffMatrix, rng: np.random.Generator):
+    """Play the population's edges only when read, for the ``with`` block.
+
+    Inside, advance time with :func:`tick` instead of :func:`play_step`, and
+    call :func:`settle` on the nodes whose payoffs or memories are about to
+    be read (the evolution events, :func:`set_strategy` and
+    :func:`reset_node` do so themselves). Rounds and jumps draw from ``rng``.
+    Leaving the block settles every edge, so ``mem`` and ``pay`` then hold
+    the last step's round just as after :func:`play_step`.
+    """
+    pop._on_demand = _OnDemand(pop, m, rng)
+    try:
+        yield pop
+        settle(pop)
+    finally:
+        pop._on_demand = None
+
+
+def tick(pop: Population) -> None:
+    """Start the next step on the on-demand path.
+
+    Settles every edge first when one could otherwise fall more than
+    _MAX_GAP steps behind, which bounds the jump table.
+    """
+    od = pop._on_demand
+    if pop.clock - od.full >= _MAX_GAP:
+        settle(pop)
+    if od.full == pop.clock:
+        pop.pay[:] = 0.0
+    else:
+        for nodes in od.paid:
+            pop.pay[nodes] = 0.0
+    od.paid.clear()
+    pop.clock += 1
+
+
+def settle(pop: Population, nodes=None) -> None:
+    """Bring edges up to the clock: every edge, or every edge of ``nodes``.
+
+    Each edge not yet played this step draws this step's outcome from row
+    ``mem`` of P^g, g being the steps since it was last played, and adds the
+    round's payoffs to both endpoints. A no-op on the dense path, where
+    :func:`play_step` has already played every edge.
+    """
+    od = pop._on_demand
+    if od is None:
+        return
+    if nodes is None:
+        _settle_all(pop, od)
+        return
+    lag = pop.clock - od.full
+    indptr, _, eid = pop.net.csr()
+    if len(nodes) == 1:
+        e = eid[indptr[nodes[0]] : indptr[nodes[0] + 1]]
+        e = e[od.settled[e] < lag]
+    else:
+        # an edge between two of the nodes is listed twice; sorting pairs the
+        # copies up (np.unique would import numpy.ma, +0.7 MB resident)
+        e = np.concatenate([eid[indptr[v] : indptr[v + 1]] for v in nodes])
+        e.sort()
+        keep = od.settled[e] < lag
+        keep[1:] &= e[1:] != e[:-1]
+        e = e[keep]
+    if len(e) == 0:
+        return
+    row = np.subtract(lag, od.settled[e], dtype=np.intp)
+    row *= od.rows
+    row += pop._code[e]
+    row += pop.mem[e]
+    out = (od.jump[:, row] <= od.rng.random(len(e))).sum(axis=0)
+    pop.mem[e] = out
+    od.settled[e] = lag
+    eu, ev = pop._eu[e], pop._ev[e]
+    np.add.at(pop.pay, eu, od.pay_u[out])
+    np.add.at(pop.pay, ev, od.pay_v[out])
+    od.paid += (eu, ev)
+
+
+def _settle_all(pop: Population, od: _OnDemand) -> None:
+    """Every edge up to the clock, in the network's round buffers."""
+    lag = pop.clock - od.full
+    if lag == 0:
+        return
+    played = np.flatnonzero(od.settled == lag)  # by events this step; left as is
+    mem = pop.mem
+    num_e = len(mem)
+    draws, prob, coop, idx = pop._buffers
+    u, below = draws[:num_e], coop[:num_e]
+    np.subtract(lag, od.settled, out=idx, dtype=np.intp)  # g = 0 reads P^0, keeps mem
+    idx *= od.rows
+    idx += pop._code
+    idx += mem
+    od.rng.random(out=u)
+    mem[:] = 0
+    for cum in od.jump:
+        np.take(cum, idx, out=prob, mode="clip")
+        np.less_equal(prob, u, out=below)
+        np.add(mem, below.view(np.int8), out=mem)
+    np.copyto(idx, mem)
+    np.take(od.pay_u, idx, out=prob, mode="clip")
+    prob[played] = 0.0
+    pop.pay += np.bincount(pop._eu, weights=prob, minlength=pop.n)
+    np.take(od.pay_v, idx, out=prob, mode="clip")
+    prob[played] = 0.0
+    pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
+    od.settled[:] = 0
+    od.full = pop.clock
 
 
 def write_snapshot(pop: Population, path) -> None:

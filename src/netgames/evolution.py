@@ -15,11 +15,21 @@ built for. Letting payoffs pile up across the whole run instead makes long-
 lived nodes unbeatable regardless of how their strategy is doing, which
 freezes both processes short of the extinction outcomes they should reach;
 see the run() loop, which clears payoffs before each step's round of play.
+
+run() plays the rounds one of two ways, chosen by input size (see
+:func:`uses_on_demand`). The dense path plays every edge every step with
+``engine.play_step``. The on-demand path plays an edge only when an event, a
+sample or a strategy change reads it (``engine.on_demand``); the events below
+settle the nodes they read, which is a no-op on the dense path. Both paths
+are deterministic for a seed, but they consume the seed's stream
+differently, so the same seed gives a different (equally distributed) run
+on each.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +38,27 @@ from .engine import (
     Population,
     _round_half_up,
     class_mean_degrees,
+    on_demand,
     play_step,
     reset_node,
     set_strategy,
+    settle,
+    tick,
 )
 from .engine import IsolatedNode
 from .pairchain import expected_payoffs
 from .strategies import MemoryOneStrategy, PayoffMatrix
 
 _TIE_TOL = 1e-9  # expected-payoff gaps below this count as a tie
+# run() takes the on-demand path when events per step times this is below
+# |E|. Per-step run() cost, dense -> on-demand, on a 2-core host (µs):
+# adoption on BA m=1 at |E| 299: 33 -> 46, 599: 58 -> 42, 2499: 88 -> 47;
+# death-birth with one event on 8-regular graphs at |E| 400: 40 -> 62,
+# 1000: 65 -> 59, 4000: 103 -> 93; death-birth on BA m=2 at replacement
+# rate 0.001 (|E| / events ~ 2000, and the neighbourhoods read are
+# hub-heavy) at n 5000: 225 -> 282, n 20000: 1254 -> 1512. 2500 keeps that
+# last family dense from n = 1500 up, where |E| / events < 2500.
+ON_DEMAND_EDGES_PER_EVENT = 2500
 
 
 @dataclass(frozen=True)
@@ -87,6 +109,7 @@ def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
     if hi == lo:
         raise IsolatedNode(f"node {x} has no neighbors")
     nbrs = nbr[lo:hi]
+    settle(pop, nbrs)
     w = np.maximum(pop.pay[nbrs] / pop.net.degrees[nbrs], 0.0)
     tot = w.sum()
     if tot <= 0.0:
@@ -135,6 +158,7 @@ def adoption_event(
     if hi == lo:
         raise IsolatedNode(f"node {x} has no neighbors")
     y = int(nbr[lo + rng.integers(hi - lo)])
+    settle(pop, (x, y))
     p = adoption_probability(
         float(pop.pay[x]),
         float(pop.pay[y]),
@@ -147,6 +171,11 @@ def adoption_event(
         set_strategy(pop, x, int(pop.strat[y]))
         reset_node(pop, x)
     return x, y, adopted
+
+
+def uses_on_demand(num_edges: int, events_per_step: int) -> bool:
+    """Whether run() plays edges on demand rather than all every step."""
+    return events_per_step * ON_DEMAND_EDGES_PER_EVENT < num_edges
 
 
 @dataclass
@@ -190,10 +219,14 @@ def run(
     the configured number of evolution events (replacement_rate-many for the
     death-birth process, one for adoption), so the payoffs the update rules
     compare are this step's accumulation over each node's neighbors. Pair
-    memories persist across steps. Strategy fractions are sampled every
-    ``sample_every`` steps; once either strategy is extinct the run stops and
-    the remaining samples are padded with the absorbing fractions (payoff
-    columns are padded with nan, since they are no longer simulated).
+    memories persist across steps. When :func:`uses_on_demand` says so, the
+    rounds are instead played only for the edges the events and samples
+    read, which gives the same process in distribution but not the same
+    draws; either way the population is left fully played up to the last
+    step. Strategy fractions are sampled every ``sample_every`` steps; once
+    either strategy is extinct the run stops and the remaining samples are
+    padded with the absorbing fractions (payoff columns are padded with nan,
+    since they are no longer simulated).
     ``focal_index`` says which strategy-table entry is reported as "a".
     """
     if steps < 1:
@@ -226,6 +259,7 @@ def run(
     pay_b = np.empty(k_samples)
 
     def record(k: int) -> None:
+        settle(pop)
         ca = int(pop.counts[focal_index])
         cb = n - ca
         frac_a[k] = ca / n
@@ -235,26 +269,31 @@ def run(
         pay_b[k] = pop.pay[~mask].mean() if cb else float("nan")
 
     cmd = class_mean_degrees(pop)
-    record(0)
+    lazy = uses_on_demand(pop.net.num_edges, n_events)
     next_k = 1
     extinct_at: int | None = None
-    if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
-        extinct_at = 0
-    else:
-        for t in range(1, steps + 1):
-            pop.pay[:] = 0.0
-            play_step(pop, m, rng)
-            if process == "moran":
-                for _ in range(n_events):
-                    moran_event(pop, rng)
-            else:
-                adoption_event(pop, cfg, rng)
-            if next_k < k_samples and t == sample_steps[next_k]:
-                record(next_k)
-                next_k += 1
-            if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
-                extinct_at = t
-                break
+    with on_demand(pop, m, rng) if lazy else nullcontext():
+        record(0)
+        if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
+            extinct_at = 0
+        else:
+            for t in range(1, steps + 1):
+                if lazy:
+                    tick(pop)
+                else:
+                    pop.pay[:] = 0.0
+                    play_step(pop, m, rng)
+                if process == "moran":
+                    for _ in range(n_events):
+                        moran_event(pop, rng)
+                else:
+                    adoption_event(pop, cfg, rng)
+                if next_k < k_samples and t == sample_steps[next_k]:
+                    record(next_k)
+                    next_k += 1
+                if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
+                    extinct_at = t
+                    break
 
     if extinct_at is not None and next_k < k_samples:
         absorbed = 1.0 if pop.counts[focal_index] else 0.0

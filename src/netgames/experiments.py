@@ -51,7 +51,7 @@ from .networks import (
     rewire_to_assortativity,
     write_edgelist,
 )
-from .strategies import PayoffMatrix, named_strategy
+from .strategies import CATALOG, CATALOG_NAMES, PayoffMatrix, named_strategy
 
 
 class UnknownPreset(KeyError):
@@ -97,6 +97,12 @@ class Scenario:
             raise ValueError(f"unknown initializer {self.init!r}")
         if self.hub_strategy not in ("a", "b"):
             raise ValueError(f"hub_strategy must be 'a' or 'b', got {self.hub_strategy!r}")
+        for side in ("strategy_a", "strategy_b"):
+            if getattr(self, side) not in CATALOG:
+                raise ValueError(
+                    f"{side}={getattr(self, side)!r} is not a known strategy; "
+                    f"known: {', '.join(CATALOG_NAMES)}"
+                )
         if self.process not in ("moran", "adoption"):
             raise ValueError(f"unknown process {self.process!r}")
         if not 0.0 <= self.fraction_a <= 1.0:
@@ -224,15 +230,14 @@ def _presets() -> dict[str, Scenario]:
             **zd_pav,
         ),
     }
-    for fig, name in (
-        ("fig5", "general_cooperator"),
-        ("fig5", "cooperator"),
-        ("fig6", "defector"),
-        ("fig6", "tit_for_tat"),
+    # hub strategy against Pavlov: (figure, strategy, short name, base seed);
+    # each also gets a random-placement twin seeded 25 later
+    for fig, name, short, seed in (
+        ("fig5", "general_cooperator", "gc", 1500),
+        ("fig5", "cooperator", "coop", 1550),
+        ("fig6", "defector", "defector", 1600),
+        ("fig6", "tit_for_tat", "tft", 1650),
     ):
-        short = {"general_cooperator": "gc", "cooperator": "coop",
-                 "defector": "defector", "tit_for_tat": "tft"}[name]
-        seed = {"gc": 1500, "coop": 1550, "defector": 1600, "tft": 1650}[short]
         table[f"{fig}_{short}"] = Scenario(
             name=f"{fig}_{short}",
             family="ba",

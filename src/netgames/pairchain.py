@@ -42,16 +42,26 @@ class ExpectedPayoffPair:
     e_ba: float
 
 
-def build_chain(a: MemoryOneStrategy, b: MemoryOneStrategy) -> PairChain:
-    """Transition matrix for A playing B, rows and columns in A's perspective."""
-    pa = np.array(a.probs)
-    pb = np.array(b.probs)[list(PERSPECTIVE_SWAP)]
-    m = np.empty((4, 4))
+def pair_transition(a: MemoryOneStrategy, b: MemoryOneStrategy) -> np.ndarray:
+    """5x5 transition matrix of one edge's memory, A's perspective.
+
+    States 0-3 are the joint outcomes; state 4 is an edge not yet played,
+    whose opening round is a fair coin for both players and which no round
+    leads back to.
+    """
+    pa = np.array([*a.probs, 0.5])
+    pb = np.array([*(b.probs[o] for o in PERSPECTIVE_SWAP), 0.5])
+    m = np.zeros((5, 5))
     m[:, 0] = pa * pb
     m[:, 1] = pa * (1.0 - pb)
     m[:, 2] = (1.0 - pa) * pb
     m[:, 3] = (1.0 - pa) * (1.0 - pb)
-    return PairChain(m)
+    return m
+
+
+def build_chain(a: MemoryOneStrategy, b: MemoryOneStrategy) -> PairChain:
+    """Transition matrix for A playing B, rows and columns in A's perspective."""
+    return PairChain(pair_transition(a, b)[:4, :4].copy())
 
 
 def _recurrent_classes(P: np.ndarray) -> tuple[list[list[int]], list[int]]:

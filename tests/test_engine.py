@@ -11,14 +11,25 @@ from netgames.engine import (
     fitness,
     init_hubs,
     init_random,
+    on_demand,
     play_step,
     reset_node,
     set_strategy,
+    settle,
+    tick,
     write_snapshot,
 )
+from netgames.experiments import derive_seed
 from netgames.networks import Network, barabasi_albert, regular_random
-from netgames.pairchain import expected_payoffs
-from netgames.strategies import CATALOG, DEFAULT_MATRIX, Outcome, named_strategy, round_payoffs
+from netgames.pairchain import expected_payoffs, pair_transition
+from netgames.strategies import (
+    CATALOG,
+    CATALOG_NAMES,
+    DEFAULT_MATRIX,
+    Outcome,
+    named_strategy,
+    round_payoffs,
+)
 
 from conftest import connected_graphs, memory_one_strategies, payoff_matrices
 
@@ -150,16 +161,17 @@ class TestPlayStep:
         # per-round class means must agree with it within 0.05. Stratifying the
         # starts matters: for deterministic pairs the start decides the whole
         # trajectory, so a random first round would not average out over time.
-        names = sorted(CATALOG)
+        names = CATALOG_NAMES
         copies, steps = 200, 3000
         net = Network(2 * copies, [(2 * i, 2 * i + 1) for i in range(copies)])
         for i, na in enumerate(names):
-            for nb in names[i:]:
+            for j in range(i, len(names)):
+                nb = names[j]
                 a, b = CATALOG[na], CATALOG[nb]
                 strat = np.tile([0, 1], copies)
                 pop = Population(net, (a, b), strat)
                 pop.mem[:] = np.tile([0, 1, 2, 3], copies // 4)
-                rng = np.random.default_rng(abs(hash((na, nb))) % 2**32)
+                rng = np.random.default_rng(derive_seed(i, j))
                 for _ in range(steps):
                     play_step(pop, M, rng)
                 got_a = pop.pay[strat == 0].sum() / (copies * steps)
@@ -246,6 +258,94 @@ class TestReferenceEquivalence:
         for a, b in zip(alone, shared):
             assert np.array_equal(a.mem, b.mem)
             assert np.array_equal(a.pay, b.pay)
+
+
+# chi-square 0.999 quantiles by degrees of freedom: each check wrongly fails
+# a correct sampler with probability 0.001 (alpha)
+_CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467}
+
+
+def assert_drawn_from(states, row):
+    """The states are a sample of the distribution ``row`` over the 5 states."""
+    counts = np.bincount(states, minlength=len(row))
+    assert np.all(counts[row == 0] == 0), (counts, row)
+    live = row > 0
+    if live.sum() > 1:
+        expected = len(states) * row[live]
+        stat = float(((counts[live] - expected) ** 2 / expected).sum())
+        assert stat < _CHI2_999[int(live.sum()) - 1], (counts, row)
+
+
+class TestOnDemand:
+    # pairs: mixed stochastic, periodic deterministic (TFT-TFT swaps CD and DC,
+    # Pavlov-defector alternates CD and DD), and one reducible to CC
+    @pytest.mark.parametrize("na,nb", [
+        ("zd_default", "pavlov"),
+        ("tit_for_tat", "tit_for_tat"),
+        ("pavlov", "defector"),
+        ("general_cooperator", "tit_for_tat"),
+    ])
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, UNPLAYED])
+    @pytest.mark.parametrize("gap", [1, 3, 128, 301])
+    def test_jump_outcome_follows_power_row(self, na, nb, start, gap):
+        # disjoint edges are independent chains; half are settled through their
+        # nodes, the other half by the full settle on leaving the block. Gap 301
+        # passes the jump table's end, so the clock settles on its way there.
+        a, b = CATALOG[na], CATALOG[nb]
+        copies = 4000
+        net = Network(2 * copies, [(2 * i, 2 * i + 1) for i in range(copies)])
+        pop = Population(net, (a, b), np.tile([0, 1], copies))
+        pop.mem[:] = start
+        half = copies // 2
+        rng = np.random.default_rng(derive_seed(CATALOG_NAMES.index(na), start, gap))
+        with on_demand(pop, M, rng):
+            for _ in range(gap):
+                tick(pop)
+            settle(pop, np.arange(0, copies, 2))
+        row = np.linalg.matrix_power(pair_transition(a, b), gap)[start]
+        assert_drawn_from(pop.mem[:half], row)
+        assert_drawn_from(pop.mem[half:], row)
+        pay_u, pay_v = M.outcome_payoffs
+        assert np.array_equal(pop.pay[0::2], pay_u[pop.mem])
+        assert np.array_equal(pop.pay[1::2], pay_v[pop.mem])
+
+    def test_strategy_change_and_reset_settle_the_old_rounds_first(self):
+        pop = two_node_pop(COOPERATOR, DEFECTOR)
+        pop.mem[:] = Outcome.CC
+        with on_demand(pop, M, np.random.default_rng(26)):
+            for _ in range(5):
+                tick(pop)
+            set_strategy(pop, 1, 0)  # step 5 is still played cooperator vs defector
+            assert pop.mem[0] == Outcome.CD
+            assert pop.pay.tolist() == [0.0, 5.0]
+            for _ in range(5):
+                tick(pop)
+            reset_node(pop, 0)
+            assert pop.mem[0] == UNPLAYED
+            assert pop.pay.tolist() == [0.0, 3.0]
+            tick(pop)
+        assert pop.mem[0] != UNPLAYED  # leaving the block played step 11
+
+    def test_edges_shared_by_settled_nodes_play_once(self):
+        net = Network(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        pop = Population(net, (COOPERATOR,), np.zeros(4, dtype=int))
+        pop.mem[:] = Outcome.CC
+        with on_demand(pop, M, np.random.default_rng(30)):
+            tick(pop)
+            settle(pop, (0, 1, 2))
+            assert pop.pay.tolist() == [6.0, 6.0, 9.0, 3.0]
+
+    def test_settle_is_a_noop_on_the_dense_path(self):
+        net = barabasi_albert(50, 2, seed=27)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=28)
+        rng = np.random.default_rng(29)
+        play_step(pop, M, rng)
+        mem, pay, state = pop.mem.copy(), pop.pay.copy(), rng.bit_generator.state
+        settle(pop)
+        settle(pop, (0, 1, 2))
+        assert np.array_equal(pop.mem, mem)
+        assert np.array_equal(pop.pay, pay)
+        assert rng.bit_generator.state == state
 
 
 class TestFitnessAndReset:

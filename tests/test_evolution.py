@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from netgames.engine import Population, init_random, play_step
+import netgames.evolution as evolution
+from netgames import experiments
+from netgames.engine import UNPLAYED, Population, init_random, play_step
 from netgames.evolution import (
     AdoptionConfig,
     MoranConfig,
@@ -11,10 +13,11 @@ from netgames.evolution import (
     adoption_probability,
     moran_event,
     run,
+    uses_on_demand,
     write_run_csv,
     _select_neighbor,
 )
-from netgames.networks import Network, complete_graph, regular_random
+from netgames.networks import Network, barabasi_albert, complete_graph, regular_random
 from netgames.strategies import DEFAULT_MATRIX, named_strategy
 
 M = DEFAULT_MATRIX
@@ -265,3 +268,89 @@ class TestNeutralDrift:
             fixed += pop.counts[1] == n
         rate = fixed / trials
         assert 0.02 < rate < 0.18  # 1/12 = 0.083 with generous slack
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: largest gap between the ECDFs."""
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+def ks_critical(n: int, m: int) -> float:
+    """Asymptotic two-sample KS critical value at alpha = 0.01.
+
+    Conservative for the discrete samples compared here (fractions over n,
+    step counts), so each comparison wrongly fails with probability <= 0.01.
+    """
+    return 1.628 * np.sqrt((n + m) / (n * m))
+
+
+def outcomes(monkeypatch, lazy, process, net, steps, seeds):
+    """Final fraction and extinction step (steps + 1 if none) of seeded runs."""
+    monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_EVENT", 0 if lazy else net.num_edges)
+    assert uses_on_demand(net.num_edges, 1) is lazy
+    if process == "moran":
+        cfg = MoranConfig(0.05)
+    else:
+        cfg = AdoptionConfig.for_pair(ZD, PAVLOV, M)
+    final, extinct = [], []
+    for s in seeds:
+        pop = init_random(net, ZD, PAVLOV, 0.6, seed=experiments.derive_seed(s, 1))
+        rec = run(pop, process, steps, M, cfg, experiments.derive_seed(s, 2), sample_every=50)
+        final.append(rec.final_fraction_a)
+        extinct.append(steps + 1 if rec.extinct_at is None else rec.extinct_at)
+    return np.array(final), np.array(extinct)
+
+
+class TestOnDemandPath:
+    # run() on and off the on-demand path: same process, different draws, so
+    # the outcome distributions over 300 seeds must agree (KS, alpha = 0.01)
+    @pytest.mark.parametrize("process,m,steps", [("adoption", 1, 200), ("moran", 2, 150)])
+    def test_outcome_distributions_match_dense(self, monkeypatch, process, m, steps):
+        net = barabasi_albert(30, m, seed=40)
+        seeds = range(300)
+        dense = outcomes(monkeypatch, False, process, net, steps, seeds)
+        lazy = outcomes(monkeypatch, True, process, net, steps, seeds)
+        for d, z in zip(dense, lazy):
+            assert len(np.unique(d)) > 10  # spread enough for the test to bite
+            assert ks_statistic(d, z) < ks_critical(len(d), len(z))
+
+    def test_run_returns_with_every_edge_settled(self, monkeypatch):
+        # extinction ends the run between samples, so only run's own final
+        # settle plays the last step; every node whose edges were not reset
+        # then holds the payoffs of that step's outcomes
+        monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_EVENT", 0)
+        net = barabasi_albert(40, 1, seed=41)
+        pop = init_random(net, COOPERATOR, DEFECTOR, 0.5, seed=42)
+        cfg = AdoptionConfig.for_pair(COOPERATOR, DEFECTOR, M)
+        rec = run(pop, "adoption", 100_000, M, cfg, seed=43, sample_every=100_000)
+        assert rec.extinct_at is not None and rec.extinct_at % 100_000 != 0
+        assert pop.clock == rec.extinct_at and pop._on_demand is None
+        indptr, _, eid = net.csr()
+        pay_u, pay_v = M.outcome_payoffs
+        checked = 0
+        for v in range(net.n):
+            e = eid[indptr[v] : indptr[v + 1]]
+            if np.any(pop.mem[e] == UNPLAYED):
+                continue
+            own = np.where(net.edges[e, 0] == v, pay_u[pop.mem[e]], pay_v[pop.mem[e]])
+            assert pop.pay[v] == pytest.approx(own.sum())
+            checked += 1
+        assert checked > net.n // 2
+
+    def test_every_reduced_preset_takes_the_dense_path(self):
+        for name in experiments.PRESET_NAMES:
+            s = experiments.reduced_profile(experiments.preset(name))
+            net, _ = experiments._build_network(s, 0, None, 0)  # rewiring keeps |E|
+            events = 1
+            if s.process == "moran":
+                events = MoranConfig(s.replacement_rate).events_per_step(s.n)
+            assert not uses_on_demand(net.num_edges, events), name
+
+    def test_path_choice_by_size(self):
+        # the benchmark's scale runs: adoption on BA(20000, 1), death-birth
+        # with 20 events per step on BA(20000, 2)
+        assert uses_on_demand(19_999, 1)
+        assert not uses_on_demand(39_997, MoranConfig().events_per_step(20_000))

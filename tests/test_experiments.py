@@ -153,6 +153,8 @@ _BAD_VALUES = [
     ("replacement_rate", 0.0),
     ("replacement_rate", -0.1),
     ("replacement_rate", 1.5),
+    ("strategy_a", "bogus"),
+    ("strategy_b", "bogus"),
 ]
 
 
@@ -178,6 +180,14 @@ class TestScenarioValidation:
                      "--set", "sample_every=0"])
         assert code == 1
         assert "sample_every" in capsys.readouterr().err
+
+    def test_cli_reports_unknown_strategy_in_one_line(self, tmp_path, capsys):
+        code = main(["run", "fig3_wellmixed_adoption", "--out", str(tmp_path),
+                     "--set", "strategy_b=bogus"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "strategy_b='bogus'" in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestRunScenario:
