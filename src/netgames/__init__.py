@@ -3,12 +3,10 @@
 from .engine import (
     Population,
     class_mean_degrees,
-    fitness,
     init_hubs,
     init_random,
     play_step,
     reset_node,
-    write_snapshot,
 )
 from .evolution import (
     AdoptionConfig,
@@ -52,7 +50,6 @@ from .pairchain import (
     expected_payoffs,
     limit_distribution,
     monte_carlo_payoffs,
-    stationary_distribution,
 )
 from .strategies import (
     CATALOG,
@@ -65,7 +62,6 @@ from .strategies import (
     UnknownStrategy,
     named_strategy,
     round_payoffs,
-    swap_perspective,
     zd_complete,
     zd_pinned_payoff,
 )

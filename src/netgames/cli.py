@@ -7,7 +7,7 @@ import csv
 import sys
 from pathlib import Path
 
-from . import experiments, networks
+from . import networks
 from .experiments import (
     PRESET_NAMES,
     Scenario,

@@ -22,13 +22,12 @@ stays the reference.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 
-from .networks import Network
+from .networks import Network, hub_order
 from .pairchain import pair_transition
 from .strategies import PERSPECTIVE_SWAP, MemoryOneStrategy, PayoffMatrix
 
@@ -93,9 +92,6 @@ class Population:
     def n(self) -> int:
         return self.net.n
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.strategies)
-
 
 def _edge_arrays(net: Network) -> tuple:
     """Per-network arrays of the edge round, shared by its populations.
@@ -156,8 +152,6 @@ def init_hubs(
     """
     if not 0.0 <= fraction_hub <= 1.0:
         raise ValueError(f"fraction_hub={fraction_hub} outside [0, 1]")
-    from .networks import hub_order
-
     order = hub_order(net, seed)
     n_hub = _round_half_up(fraction_hub * net.n)
     strat = np.ones(net.n, dtype=np.int64)
@@ -203,14 +197,6 @@ def play_step(pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> Non
     pop.pay += np.bincount(pop._eu, weights=prob, minlength=pop.n)
     np.take(pay_v, idx, out=prob, mode="clip")
     pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
-
-
-def fitness(pop: Population, node: int) -> float:
-    """Cumulative payoff averaged over the node's neighbor count."""
-    deg = pop.net.degrees[node]
-    if deg == 0:
-        raise IsolatedNode(f"node {node} has no neighbors")
-    return float(pop.pay[node] / deg)
 
 
 def reset_node(pop: Population, node: int) -> None:
@@ -392,15 +378,3 @@ def _settle_all(pop: Population, od: _OnDemand) -> None:
     pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
     od.settled[:] = 0
     od.full = pop.clock
-
-
-def write_snapshot(pop: Population, path) -> None:
-    """CSV snapshot: node_id, strategy_label, cumulative_payoff, degree."""
-    labels = pop.labels()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "strategy_label", "cumulative_payoff", "degree"])
-        for i in range(pop.n):
-            w.writerow(
-                [i, labels[pop.strat[i]], repr(float(pop.pay[i])), int(pop.net.degrees[i])]
-            )

@@ -50,8 +50,9 @@ from .pairchain import expected_payoffs
 from .strategies import MemoryOneStrategy, PayoffMatrix
 
 _TIE_TOL = 1e-9  # expected-payoff gaps below this count as a tie
-# run() takes the on-demand path when events per step times this is below
-# |E|. Per-step run() cost, dense -> on-demand, on a 2-core host (µs):
+# run() takes the on-demand path when events per step times this, plus the
+# |E| edges each sample settles spread over the steps between samples, is
+# below |E|. Per-step run() cost, dense -> on-demand, on a 2-core host (µs):
 # adoption on BA m=1 at |E| 299: 33 -> 46, 599: 58 -> 42, 2499: 88 -> 47;
 # death-birth with one event on 8-regular graphs at |E| 400: 40 -> 62,
 # 1000: 65 -> 59, 4000: 103 -> 93; death-birth on BA m=2 at replacement
@@ -103,7 +104,10 @@ class AdoptionConfig:
 
 
 def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
-    """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0."""
+    """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0.
+
+    A node's fitness is its payoff divided by its degree, computed here only.
+    """
     indptr, nbr, _ = pop.net.csr()
     lo, hi = indptr[x], indptr[x + 1]
     if hi == lo:
@@ -173,9 +177,13 @@ def adoption_event(
     return x, y, adopted
 
 
-def uses_on_demand(num_edges: int, events_per_step: int) -> bool:
-    """Whether run() plays edges on demand rather than all every step."""
-    return events_per_step * ON_DEMAND_EDGES_PER_EVENT < num_edges
+def uses_on_demand(num_edges: int, events_per_step: int, sample_every: int) -> bool:
+    """Whether run() plays edges on demand rather than all every step.
+
+    Each sample settles every edge, so it is charged |E| edges per sample.
+    """
+    cost = events_per_step * ON_DEMAND_EDGES_PER_EVENT + num_edges / sample_every
+    return cost < num_edges
 
 
 @dataclass
@@ -269,7 +277,7 @@ def run(
         pay_b[k] = pop.pay[~mask].mean() if cb else float("nan")
 
     cmd = class_mean_degrees(pop)
-    lazy = uses_on_demand(pop.net.num_edges, n_events)
+    lazy = uses_on_demand(pop.net.num_edges, n_events, sample_every)
     next_k = 1
     extinct_at: int | None = None
     with on_demand(pop, m, rng) if lazy else nullcontext():

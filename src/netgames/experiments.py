@@ -10,11 +10,12 @@ rewired network for every replicate: at desk scale a single instance's quirks
 would otherwise dominate the per-target means the sweep correlates. Replicate
 0 of each target is built first as its representative and must reach the
 target within 2*rho_tol, so an unreachable target raises TargetUnreachable
-before any replicate runs. A later replicate whose draw cannot reach it (in
-a small BA graph the big hubs' degrees can cap rho below a positive target)
-keeps the closest graph its rewiring attempts found; aggregate.csv records
-its target_rho and the achieved_rho it really has, and the sweep correlates
-achieved rho.
+before anything is written. Each draw gets one rewiring walk: a later
+replicate whose draw cannot reach the target (in a small BA graph the big
+hubs' degrees can cap rho below a positive target, and a fresh walk on the
+same draw ends at the same rho) keeps the graph its walk ended on;
+aggregate.csv records its target_rho and the achieved_rho it really has,
+and the sweep correlates achieved rho.
 
 Outputs land in one directory per scenario:
 
@@ -214,7 +215,7 @@ def _presets() -> dict[str, Scenario]:
         # positive assortativity while staying connected); the loose tolerance
         # accepts instances within 2*tol, and a replicate whose draw cannot
         # get that close (at n=200 some draws cap rho at 0.015-0.19) keeps
-        # its closest graph instead of aborting the sweep
+        # the graph its walk ended on instead of aborting the sweep
         "fig7_assortativity_sweep": Scenario(
             name="fig7_assortativity_sweep",
             family="ba",
@@ -301,11 +302,6 @@ def derive_seed(*parts: int) -> int:
 # ----------------------------------------------------------------------------
 # scenario <-> flat key = value mapping
 
-_INT_FIELDS = {"n", "degree", "ba_m", "rewire_max_steps", "steps", "sample_every",
-               "replicates", "base_seed"}
-_FLOAT_FIELDS = {"rho_tol", "fraction_a", "replacement_rate",
-                 "payoff_t", "payoff_r", "payoff_p", "payoff_s"}
-
 
 def scenario_to_mapping(s: Scenario) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -319,17 +315,21 @@ def scenario_to_mapping(s: Scenario) -> dict[str, str]:
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
-    known = {f.name for f in fields(Scenario)}
+    """Inverse of :func:`scenario_to_mapping`.
+
+    Each value is parsed as the type of its field's default; ``name``, which
+    has no default, stays a string.
+    """
+    defaults = {f.name: f.default for f in fields(Scenario)}
     kwargs: dict[str, object] = {}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"unknown scenario key {key!r}")
-        if key == "rho_targets":
+        kind = type(defaults[key])
+        if kind is tuple:
             kwargs[key] = tuple(float(t) for t in raw.split(",") if t.strip()) if raw else ()
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(raw)
+        elif kind in (int, float):
+            kwargs[key] = kind(raw)
         else:
             kwargs[key] = raw
     if "name" not in kwargs:
@@ -369,7 +369,6 @@ class GroupResult:
     target_rho: float | None
     achieved_rho: float
     mean_degree: float
-    final_fractions: list[float]
     mean_final: float
 
 
@@ -387,9 +386,6 @@ class SweepResult:
     out_dir: Path
 
 
-_REWIRE_ATTEMPTS = 4
-
-
 def _build_network(
     s: Scenario, group: int, target: float | None, rep: int
 ) -> tuple[Network, float]:
@@ -404,20 +400,14 @@ def _build_network(
         net = barabasi_albert(s.n, s.ba_m, gen_seed)
     if target is None:
         return net, assortativity(net).rho
-    # retry the rewiring walk on fresh deterministic seeds. A draw whose
-    # degree sequence caps rho short of the target (big hubs in a small
-    # graph must mostly touch low-degree nodes) fails every attempt alike;
-    # the closest attempt's TargetUnreachable carries the best graph found
-    misses: list[TargetUnreachable] = []
-    for attempt in range(_REWIRE_ATTEMPTS):
-        try:
-            return rewire_to_assortativity(
-                net, target, tol=s.rho_tol, max_steps=s.rewire_max_steps,
-                seed=derive_seed(s.base_seed, 202, group, rep, attempt),
-            )
-        except TargetUnreachable as exc:
-            misses.append(exc)
-    raise min(misses, key=lambda exc: abs(exc.achieved_rho - target))
+    # one walk per draw: a draw whose degree sequence caps rho short of the
+    # target (big hubs in a small graph must mostly touch low-degree nodes)
+    # ends every walk at about the same rho, so retrying learns nothing; the
+    # TargetUnreachable carries the graph the walk ended on
+    return rewire_to_assortativity(
+        net, target, tol=s.rho_tol, max_steps=s.rewire_max_steps,
+        seed=derive_seed(s.base_seed, 202, group, rep, 0),
+    )
 
 
 def _execute_run(
@@ -435,13 +425,8 @@ def _execute_run(
             net, achieved_rho = _build_network(s, group, target, rep)
         except TargetUnreachable as exc:
             # replicate 0 reached this target, so the target is sound and
-            # only this draw falls short: keep its closest graph
+            # only this draw falls short: keep the graph its walk ended on
             net, achieved_rho = exc.network, exc.achieved_rho
-        except Exception as exc:
-            raise type(exc)(
-                f"scenario {s.name}, replicate {run_index} "
-                f"(target {target}): {exc}"
-            ) from exc
     seed = s.base_seed + run_index
     a = named_strategy(s.strategy_a)
     b = named_strategy(s.strategy_b)
@@ -479,10 +464,6 @@ def _execute_run(
     return rec
 
 
-def _pool_task(args) -> RunRecord:
-    return _execute_run(*args)
-
-
 def read_final_fraction(run_csv) -> float:
     """Final strategy-a fraction, read back from a persisted run CSV."""
     with open(run_csv, newline="") as fh:
@@ -502,39 +483,30 @@ def run_scenario(
     Aggregate statistics are recomputed from the per-run CSV files after all
     workers finish, so the persisted files are the source of truth.
     """
+    sweep = bool(s.rho_targets)
+    targets: tuple[float | None, ...] = s.rho_targets if sweep else (None,)
+    # the shared network, or each sweep target's representative (also its
+    # replicate 0's network), built before anything is written: a bad
+    # network parameter or an unreachable target leaves no output behind
+    built = [_build_network(s, gi, target, rep=0) for gi, target in enumerate(targets)]
+
     out = Path(out_dir) if out_dir is not None else Path(tempfile.mkdtemp(prefix=f"{s.name}-"))
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    sweep = bool(s.rho_targets)
-    targets: tuple[float | None, ...] = s.rho_targets if sweep else (None,)
     tasks = []
-    for gi, target in enumerate(targets):
-        if sweep:
-            # representative instance, also replicate 0's network: fail fast
-            # on unreachable targets and give the output directory one
-            # inspectable network per target
-            net, rho = _build_network(s, gi, target, rep=0)
-            write_edgelist(net, out / f"network_{gi:02d}.edges")
-        else:
-            try:
-                net, rho = _build_network(s, gi, target, rep=0)
-            except Exception as exc:
-                raise type(exc)(f"scenario {s.name}: {exc}") from exc
-            write_edgelist(net, out / "network.edges")
+    for gi, (target, (net, rho)) in enumerate(zip(targets, built)):
+        write_edgelist(net, out / (f"network_{gi:02d}.edges" if sweep else "network.edges"))
         for rep in range(s.replicates):
             run_index = gi * s.replicates + rep
             tasks.append((s, net, gi, target, rho, run_index, runs_dir))
             if sweep:  # later sweep replicates build their own draws
                 net, rho = None, float("nan")
 
-    records: list[RunRecord] = []
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_pool_task, tasks))
+            records = list(pool.map(_execute_run, *zip(*tasks)))
     else:
-        for t in tasks:
-            records.append(_execute_run(*t))
+        records = list(map(_execute_run, *zip(*tasks)))
     records.sort(key=lambda r: r.run_id)
 
     # aggregate from the persisted per-run files, not the in-memory records
@@ -551,7 +523,6 @@ def run_scenario(
                 target_rho=target,
                 achieved_rho=float(np.mean([r.achieved_rho for r in grp_records])),
                 mean_degree=float(np.mean([r.mean_degree for r in grp_records])),
-                final_fractions=grp_finals,
                 mean_final=float(np.mean(grp_finals)),
             )
         )

@@ -66,9 +66,6 @@ class Network:
     def mean_degree(self) -> float:
         return float(self.degrees.mean())
 
-    def degree(self, node: int) -> int:
-        return int(self.degrees[node])
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Adjacency as (indptr, neighbors, edge_ids) arrays."""
         if self._csr is None:
@@ -81,10 +78,6 @@ class Network:
             np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
             self._csr = (indptr, dst[order], eid[order])
         return self._csr
-
-    def neighbors(self, node: int) -> np.ndarray:
-        indptr, nbr, _ = self.csr()
-        return nbr[indptr[node] : indptr[node + 1]]
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -359,11 +352,10 @@ def rewire_to_assortativity(
 
 @dataclass(frozen=True, eq=False)
 class DegreeStats:
-    """Degree summary: mean, histogram rows (degree, count), nodes by degree desc."""
+    """Degree summary: mean and histogram rows (degree, count)."""
 
     mean_degree: float
     histogram: np.ndarray
-    nodes_by_degree: np.ndarray
 
 
 def degree_stats(g: Network) -> DegreeStats:
@@ -371,12 +363,7 @@ def degree_stats(g: Network) -> DegreeStats:
     counts = np.bincount(g.degrees)
     degs = np.nonzero(counts)[0]
     hist = np.column_stack([degs, counts[degs]])
-    order = np.lexsort((np.arange(g.n), -g.degrees))
-    return DegreeStats(
-        mean_degree=g.mean_degree,
-        histogram=hist,
-        nodes_by_degree=order,
-    )
+    return DegreeStats(mean_degree=g.mean_degree, histogram=hist)
 
 
 def hub_order(g: Network, seed: int) -> np.ndarray:

@@ -129,18 +129,6 @@ def limit_distribution(chain: PairChain, initial: np.ndarray | None = None) -> n
     return out
 
 
-def stationary_distribution(chain: PairChain) -> np.ndarray:
-    """Unique stationary vector of an irreducible chain; raises if reducible."""
-    recurrent, transient = _recurrent_classes(chain.matrix)
-    if transient or len(recurrent) != 1:
-        raise ValueError("chain is reducible; use limit_distribution instead")
-    out = np.zeros(4)
-    out[np.array(recurrent[0])] = _class_stationary(
-        chain.matrix[np.ix_(recurrent[0], recurrent[0])]
-    )
-    return out
-
-
 def expected_payoffs(
     a: MemoryOneStrategy, b: MemoryOneStrategy, m: PayoffMatrix
 ) -> ExpectedPayoffPair:

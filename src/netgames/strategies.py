@@ -32,11 +32,6 @@ class Outcome(IntEnum):
 PERSPECTIVE_SWAP: tuple[Outcome, ...] = (Outcome.CC, Outcome.DC, Outcome.CD, Outcome.DD)
 
 
-def swap_perspective(o: Outcome) -> Outcome:
-    """Re-express an outcome from the other player's point of view (CD <-> DC)."""
-    return PERSPECTIVE_SWAP[o]
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """The four PD payoffs: temptation, reward, punishment, sucker.

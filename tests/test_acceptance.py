@@ -2,7 +2,8 @@
 
 Runs at a reduced desk profile by default (n=200, 30k steps per run). Set
 NETGAMES_ACCEPT_PROFILE=full for the headline scale (n=1000, 150k steps;
-hours of CPU). NETGAMES_ACCEPT_PARALLEL sets worker processes (default 2).
+about 7 minutes on two cores). NETGAMES_ACCEPT_PARALLEL sets worker
+processes (default 2).
 """
 
 import os

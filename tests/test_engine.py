@@ -8,7 +8,6 @@ from netgames.engine import (
     IsolatedNode,
     Population,
     class_mean_degrees,
-    fitness,
     init_hubs,
     init_random,
     on_demand,
@@ -17,8 +16,8 @@ from netgames.engine import (
     set_strategy,
     settle,
     tick,
-    write_snapshot,
 )
+from netgames.evolution import AdoptionConfig, adoption_event, moran_event
 from netgames.experiments import derive_seed
 from netgames.networks import Network, barabasi_albert, regular_random
 from netgames.pairchain import expected_payoffs, pair_transition
@@ -349,18 +348,16 @@ class TestOnDemand:
 
 
 class TestFitnessAndReset:
-    def test_fitness_is_payoff_over_degree(self):
-        net = regular_random(20, 8, seed=19)
-        pop = Population(net, (ZD,), np.zeros(20, dtype=int))
-        pop.pay[3] = 24.0
-        assert fitness(pop, 3) == 3.0
-        assert fitness(pop, 4) == 0.0
-
     def test_isolated_node_rejected(self):
+        # both events raise when the node they draw has no neighbours
         net = Network(3, [(0, 1)])
         pop = Population(net, (ZD,), np.zeros(3, dtype=int))
+        cfg = AdoptionConfig.for_pair(ZD, PAVLOV, M)
+        seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == 2)
         with pytest.raises(IsolatedNode):
-            fitness(pop, 2)
+            moran_event(pop, np.random.default_rng(seed))
+        with pytest.raises(IsolatedNode):
+            adoption_event(pop, cfg, np.random.default_rng(seed))
 
     def test_reset_clears_payoff_and_incident_memory_only(self):
         net = Network(4, [(0, 1), (1, 2), (2, 3)])
@@ -372,7 +369,6 @@ class TestFitnessAndReset:
         far_memory = pop.mem[2]
         reset_node(pop, 1)
         assert pop.pay[1] == 0.0
-        assert fitness(pop, 1) == 0.0
         assert np.array_equal(pop.pay[[0, 2, 3]], neighbor_pay)
         assert pop.mem[0] == UNPLAYED and pop.mem[1] == UNPLAYED
         assert pop.mem[2] == far_memory
@@ -384,14 +380,3 @@ class TestFitnessAndReset:
         set_strategy(pop, 1, 0)  # no-op
         assert pop.counts.tolist() == [2, 0]
 
-
-class TestSnapshot:
-    def test_snapshot_csv(self, tmp_path):
-        pop = two_node_pop(ZD, PAVLOV)
-        pop.pay[0] = 1.5
-        path = tmp_path / "snap.csv"
-        write_snapshot(pop, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "node_id,strategy_label,cumulative_payoff,degree"
-        assert lines[1] == "0,zd_default,1.5,1"
-        assert lines[2] == "1,pavlov,0.0,1"

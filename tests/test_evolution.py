@@ -290,7 +290,7 @@ def ks_critical(n: int, m: int) -> float:
 def outcomes(monkeypatch, lazy, process, net, steps, seeds):
     """Final fraction and extinction step (steps + 1 if none) of seeded runs."""
     monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_EVENT", 0 if lazy else net.num_edges)
-    assert uses_on_demand(net.num_edges, 1) is lazy
+    assert uses_on_demand(net.num_edges, 1, 50) is lazy
     if process == "moran":
         cfg = MoranConfig(0.05)
     else:
@@ -347,10 +347,13 @@ class TestOnDemandPath:
             events = 1
             if s.process == "moran":
                 events = MoranConfig(s.replacement_rate).events_per_step(s.n)
-            assert not uses_on_demand(net.num_edges, events), name
+            assert not uses_on_demand(net.num_edges, events, s.sample_every), name
 
     def test_path_choice_by_size(self):
         # the benchmark's scale runs: adoption on BA(20000, 1), death-birth
-        # with 20 events per step on BA(20000, 2)
-        assert uses_on_demand(19_999, 1)
-        assert not uses_on_demand(39_997, MoranConfig().events_per_step(20_000))
+        # with 20 events per step on BA(20000, 2), both sampling every 100
+        assert uses_on_demand(19_999, 1, 100)
+        assert not uses_on_demand(39_997, MoranConfig().events_per_step(20_000), 100)
+        # a sample settles every edge: sampling every step pays that each step
+        assert not uses_on_demand(19_999, 1, 1)
+        assert uses_on_demand(19_999, 1, 2)

@@ -272,7 +272,7 @@ class TestRunScenario:
         assert load_config(tmp_path / "sweep" / "meta.txt") == s
 
     # BA(30, 2) draws at base_seed 12: target +0.2 is reachable from group
-    # 1's replicate 0 but from no attempt on replicate 1's draw
+    # 1's replicate 0 but not from replicate 1's draw
     def _short_sweep(self, **overrides):
         base = dict(
             family="ba", ba_m=2, n=30, rho_targets=(0.0, 0.2), rho_tol=0.05,
@@ -283,17 +283,14 @@ class TestRunScenario:
 
     def test_sweep_replicate_keeps_closest_graph_when_target_unreachable(self, tmp_path):
         s = self._short_sweep()
-        # the stranded draw, rewired independently: every attempt misses
+        # the stranded draw, rewired independently: its walk misses
         draw = barabasi_albert(s.n, s.ba_m, derive_seed(s.base_seed, 101, 1, 1))
-        misses = []
-        for attempt in range(4):
-            with pytest.raises(TargetUnreachable) as exc:
-                rewire_to_assortativity(
-                    draw, 0.2, tol=s.rho_tol, max_steps=s.rewire_max_steps,
-                    seed=derive_seed(s.base_seed, 202, 1, 1, attempt),
-                )
-            misses.append(exc.value.achieved_rho)
-        closest = min(misses, key=lambda r: abs(r - 0.2))
+        with pytest.raises(TargetUnreachable) as exc:
+            rewire_to_assortativity(
+                draw, 0.2, tol=s.rho_tol, max_steps=s.rewire_max_steps,
+                seed=derive_seed(s.base_seed, 202, 1, 1, 0),
+            )
+        ended = exc.value.achieved_rho
 
         run_scenario(s, out_dir=tmp_path / "sweep")
         with open(tmp_path / "sweep" / "aggregate.csv", newline="") as fh:
@@ -301,13 +298,14 @@ class TestRunScenario:
         assert len(rows) == 4
         stranded = rows[3]
         assert (stranded["group"], stranded["target_rho"]) == ("1", "0.2")
-        assert float(stranded["achieved_rho"]) == closest
-        assert abs(closest - 0.2) > 2 * s.rho_tol
+        assert float(stranded["achieved_rho"]) == ended
+        assert abs(ended - 0.2) > 2 * s.rho_tol
         assert abs(float(rows[2]["achieved_rho"]) - 0.2) <= 2 * s.rho_tol
 
     def test_sweep_rewires_each_draw_once(self, tmp_path, monkeypatch):
         # replicate 0's network is the target's representative; its task
-        # reuses it instead of rewiring the same draw again
+        # reuses it instead of rewiring the same draw again. A draw that
+        # misses +0.2 (replicate 1 of the second sweep) gets no second walk
         seeds = []
 
         def counting(*args, **kwargs):
@@ -315,10 +313,12 @@ class TestRunScenario:
             return rewire_to_assortativity(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "rewire_to_assortativity", counting)
-        s = self._short_sweep(rho_targets=(-0.1, 0.0), replicates=3)
-        run_scenario(s, out_dir=tmp_path / "sweep")
-        first_attempts = [derive_seed(s.base_seed, 202, g, r, 0) for g in (0, 1) for r in range(3)]
-        assert sorted(seeds) == sorted(first_attempts)
+        for targets in ((-0.1, 0.0), (0.0, 0.2)):
+            seeds.clear()
+            s = self._short_sweep(rho_targets=targets, replicates=3)
+            run_scenario(s, out_dir=tmp_path / f"sweep_{targets[1]}")
+            walks = [derive_seed(s.base_seed, 202, g, r, 0) for g in (0, 1) for r in range(3)]
+            assert sorted(seeds) == sorted(walks)
 
     def test_sweep_fails_fast_when_replicate_zero_misses(self, tmp_path):
         s = self._short_sweep(rho_targets=(0.0, 0.9))
@@ -326,7 +326,7 @@ class TestRunScenario:
             run_scenario(s, out_dir=tmp_path / "sweep")
         assert exc.value.achieved_rho is not None
         assert abs(exc.value.achieved_rho - 0.9) > 2 * s.rho_tol
-        assert list((tmp_path / "sweep" / "runs").iterdir()) == []
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestCLI:
@@ -359,6 +359,20 @@ class TestCLI:
     def test_run_unknown_target_fails(self, tmp_path, capsys):
         assert main(["run", "not_a_preset", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,overrides", [
+        ("fig1_wellmixed_moran", ["n=5", "degree=3"]),  # odd stub count
+        ("fig2_sf_moran", ["n=1"]),  # BA needs m < n
+    ], ids=["regular", "ba"])
+    def test_bad_network_parameter_leaves_no_output(self, tmp_path, capsys, target, overrides):
+        out = tmp_path / "out"
+        argv = ["run", target, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_netgen_measure_roundtrip(self, tmp_path, capsys):
         edges = tmp_path / "net.edges"

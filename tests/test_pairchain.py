@@ -13,7 +13,6 @@ from netgames.pairchain import (
     expected_payoffs,
     limit_distribution,
     monte_carlo_payoffs,
-    stationary_distribution,
 )
 from netgames.strategies import (
     CATALOG,
@@ -72,17 +71,12 @@ class TestLimitDistribution:
 
     def test_stationary_for_ergodic_pair(self):
         chain = build_chain(ZD, PAVLOV)
-        pi = stationary_distribution(chain)
+        pi = limit_distribution(chain)
         assert np.all(pi >= 0.0)
         assert abs(pi.sum() - 1.0) <= 1e-10
         assert np.allclose(pi, pi @ chain.matrix, atol=1e-12)
-        assert np.allclose(pi, limit_distribution(chain), atol=1e-12)
         # solvable by hand: pi = (3, 2, 3, 3) / 11
         assert np.allclose(pi, np.array([3, 2, 3, 3]) / 11, atol=1e-12)
-
-    def test_reducible_chain_rejected_by_stationary(self):
-        with pytest.raises(ValueError):
-            stationary_distribution(build_chain(PAVLOV, PAVLOV))
 
     def test_periodic_class_handled(self):
         # an alternator against a pure cooperator cycles CC <-> DC forever

@@ -9,12 +9,12 @@ from netgames.strategies import (
     DEFAULT_MATRIX,
     InfeasibleZD,
     MemoryOneStrategy,
+    PERSPECTIVE_SWAP,
     Outcome,
     PayoffMatrix,
     UnknownStrategy,
     named_strategy,
     round_payoffs,
-    swap_perspective,
     zd_complete,
     zd_pinned_payoff,
 )
@@ -63,14 +63,14 @@ class TestPayoffMatrix:
 
 class TestOutcome:
     def test_swap_maps_cd_dc(self):
-        assert swap_perspective(Outcome.CD) == Outcome.DC
-        assert swap_perspective(Outcome.DC) == Outcome.CD
-        assert swap_perspective(Outcome.CC) == Outcome.CC
-        assert swap_perspective(Outcome.DD) == Outcome.DD
+        assert PERSPECTIVE_SWAP[Outcome.CD] == Outcome.DC
+        assert PERSPECTIVE_SWAP[Outcome.DC] == Outcome.CD
+        assert PERSPECTIVE_SWAP[Outcome.CC] == Outcome.CC
+        assert PERSPECTIVE_SWAP[Outcome.DD] == Outcome.DD
 
     @pytest.mark.parametrize("o", list(Outcome))
     def test_swap_is_an_involution(self, o):
-        assert swap_perspective(swap_perspective(o)) == o
+        assert PERSPECTIVE_SWAP[PERSPECTIVE_SWAP[o]] == o
 
 
 class TestRoundPayoffs:
@@ -85,7 +85,7 @@ class TestRoundPayoffs:
     def test_perspective_consistency(self, m):
         for o in Outcome:
             mine, theirs = round_payoffs(o, m)
-            theirs2, mine2 = round_payoffs(swap_perspective(o), m)
+            theirs2, mine2 = round_payoffs(PERSPECTIVE_SWAP[o], m)
             assert mine == mine2 and theirs == theirs2
 
 
