@@ -19,16 +19,23 @@ see the run() loop, which clears payoffs before each step's round of play.
 run() plays the rounds one of two ways, chosen by input size (see
 :func:`uses_on_demand`). The dense path plays every edge every step with
 ``engine.play_step``. The on-demand path plays an edge only when an event, a
-sample or a strategy change reads it (``engine.on_demand``); the events below
-settle the nodes they read, which is a no-op on the dense path. Both paths
+sample or a strategy change reads it (``engine.on_demand``), and settles
+once per step: an adoption event settles its two nodes, and run() draws a
+death-birth step's deaths first and settles every edge they read in one
+``engine.settle_around`` before the events run in draw order. On BA(20000,
+2) at replacement rate 0.001 (20 deaths) that step costs ~0.5 ms instead of
+the dense ~1.1 ms; see the table at ON_DEMAND_EDGES_PER_STEP. Both paths
 are deterministic for a seed, but they consume the seed's stream
 differently, so the same seed gives a different (equally distributed) run
-on each.
+on each. On PCG64 one array draw of k deaths gives the numbers of k scalar
+draws, so an on-demand step with one death draws the same stream as one
+``moran_event(pop, rng)`` call.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -43,6 +50,7 @@ from .engine import (
     reset_node,
     set_strategy,
     settle,
+    settle_around,
     tick,
 )
 from .engine import IsolatedNode
@@ -50,16 +58,21 @@ from .pairchain import expected_payoffs
 from .strategies import MemoryOneStrategy, PayoffMatrix
 
 _TIE_TOL = 1e-9  # expected-payoff gaps below this count as a tie
-# run() takes the on-demand path when events per step times this, plus the
-# |E| edges each sample settles spread over the steps between samples, is
-# below |E|. Per-step run() cost, dense -> on-demand, on a 2-core host (µs):
-# adoption on BA m=1 at |E| 299: 33 -> 46, 599: 58 -> 42, 2499: 88 -> 47;
-# death-birth with one event on 8-regular graphs at |E| 400: 40 -> 62,
-# 1000: 65 -> 59, 4000: 103 -> 93; death-birth on BA m=2 at replacement
-# rate 0.001 (|E| / events ~ 2000, and the neighbourhoods read are
-# hub-heavy) at n 5000: 225 -> 282, n 20000: 1254 -> 1512. 2500 keeps that
-# last family dense from n = 1500 up, where |E| / events < 2500.
-ON_DEMAND_EDGES_PER_EVENT = 2500
+# run() takes the on-demand path when this, plus the |E| edges each sample
+# settles spread over the steps between samples, is below |E|: a step's one
+# settle, whatever its number of events, costs about a dense round over this
+# many edges. Per-step run() cost, dense -> on demand, sampling every 100
+# steps, on a 2-core host (µs): adoption on BA m=1 at |E| 299: 39 -> 47,
+# 599: 46 -> 41, 2499: 73 -> 47, 19999: 480 -> 72; death-birth at rate
+# 0.001 on 8-regular graphs (one death a step) at |E| 400: 36 -> 62, 1000:
+# 60 -> 76, 4000: 91 -> 84; on BA m=2 at |E| 1997: 96 -> 76, 2997: 103 ->
+# 82, 9997: 219 -> 127, 39997 (20 deaths): 1099 -> 507; at rate 0.01 on BA
+# m=2, |E| 1997: 237 -> 287, 39997: 4529 -> 4211; at rate 0.05, |E| 39997:
+# 17319 -> 16780. Break-even lies between ~700 edges (BA m=2) and ~3600
+# (8-regular); 2500 keeps every reduced preset (at most 800 edges) dense,
+# and every full-profile preset on the path it took when this was charged
+# per event.
+ON_DEMAND_EDGES_PER_STEP = 2500
 
 
 @dataclass(frozen=True)
@@ -107,27 +120,39 @@ def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
     """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0.
 
     A node's fitness is its payoff divided by its degree, computed here only.
+    The neighbors' edges must be settled already.
     """
     indptr, nbr, _ = pop.net.csr()
     lo, hi = indptr[x], indptr[x + 1]
     if hi == lo:
         raise IsolatedNode(f"node {x} has no neighbors")
     nbrs = nbr[lo:hi]
-    settle(pop, nbrs)
     w = np.maximum(pop.pay[nbrs] / pop.net.degrees[nbrs], 0.0)
     tot = w.sum()
     if tot <= 0.0:
         return int(nbrs[rng.integers(len(nbrs))])
-    c = np.cumsum(w)
-    idx = int(np.searchsorted(c, rng.random() * tot, side="right"))
+    # array methods, not np.cumsum / np.searchsorted: same numbers, without
+    # the Python wrappers those add to every call
+    c = w.cumsum()
+    idx = int(c.searchsorted(rng.random() * tot, side="right"))
     if idx >= len(nbrs):
         idx = len(nbrs) - 1
     return int(nbrs[idx])
 
 
-def moran_event(pop: Population, rng: np.random.Generator) -> tuple[int, int]:
-    """One death-birth event; returns (replaced node, parent neighbor)."""
-    x = int(rng.integers(pop.n))
+def moran_event(
+    pop: Population, rng: np.random.Generator, x: int | None = None
+) -> tuple[int, int]:
+    """One death-birth event; returns (replaced node, parent neighbor).
+
+    Without ``x`` the event draws the node to replace and settles the edges
+    it reads. With ``x`` the caller has drawn it and settled those edges
+    (see :func:`netgames.engine.settle_around`), as run() does for all of a
+    step's deaths at once on the on-demand path.
+    """
+    if x is None:
+        x = int(rng.integers(pop.n))
+        settle_around(pop, [x])
     y = _select_neighbor(pop, x, rng)
     set_strategy(pop, x, int(pop.strat[y]))
     reset_node(pop, x)
@@ -177,13 +202,13 @@ def adoption_event(
     return x, y, adopted
 
 
-def uses_on_demand(num_edges: int, events_per_step: int, sample_every: int) -> bool:
+def uses_on_demand(num_edges: int, sample_every: int) -> bool:
     """Whether run() plays edges on demand rather than all every step.
 
-    Each sample settles every edge, so it is charged |E| edges per sample.
+    Each step settles once, whatever its number of events, and each sample
+    settles every edge, so it is charged |E| edges per sample.
     """
-    cost = events_per_step * ON_DEMAND_EDGES_PER_EVENT + num_edges / sample_every
-    return cost < num_edges
+    return ON_DEMAND_EDGES_PER_STEP + num_edges / sample_every < num_edges
 
 
 @dataclass
@@ -248,7 +273,6 @@ def run(
     elif process == "adoption":
         if not isinstance(cfg, AdoptionConfig):
             raise TypeError("adoption process needs an AdoptionConfig")
-        n_events = 1
     else:
         raise ValueError(f"unknown process {process!r}")
     if focal_index not in (0, 1):
@@ -277,7 +301,7 @@ def run(
         pay_b[k] = pop.pay[~mask].mean() if cb else float("nan")
 
     cmd = class_mean_degrees(pop)
-    lazy = uses_on_demand(pop.net.num_edges, n_events, sample_every)
+    lazy = uses_on_demand(pop.net.num_edges, sample_every)
     next_k = 1
     extinct_at: int | None = None
     with on_demand(pop, m, rng) if lazy else nullcontext():
@@ -291,11 +315,19 @@ def run(
                 else:
                     pop.pay[:] = 0.0
                     play_step(pop, m, rng)
-                if process == "moran":
+                if process != "moran":
+                    adoption_event(pop, cfg, rng)
+                elif lazy:
+                    # deaths are uniform and independent of the payoffs, so
+                    # drawing them first and settling every edge they read
+                    # at once leaves the process unchanged
+                    deaths = rng.integers(n, size=n_events)
+                    settle_around(pop, deaths)
+                    for x in deaths.tolist():
+                        moran_event(pop, rng, x)
+                else:
                     for _ in range(n_events):
                         moran_event(pop, rng)
-                else:
-                    adoption_event(pop, cfg, rng)
                 if next_k < k_samples and t == sample_steps[next_k]:
                     record(next_k)
                     next_k += 1
@@ -331,20 +363,32 @@ def run(
 
 
 def write_run_csv(rec: RunRecord, path) -> None:
-    """Time-series CSV: run_id, step, fraction_a, fraction_b, mean_payoff_a, mean_payoff_b."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["run_id", "step", "fraction_a", "fraction_b", "mean_payoff_a", "mean_payoff_b"]
-        )
-        for i, step in enumerate(rec.sample_steps):
+    """Time-series CSV: run_id, step, fraction_a, fraction_b, mean_payoff_a, mean_payoff_b.
+
+    The rows go to ``<path>.tmp`` first, which then replaces ``path``, so
+    ``path`` never holds a half-written file; a failed write removes the
+    temporary file.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
             w.writerow(
-                [
-                    rec.run_id,
-                    int(step),
-                    repr(float(rec.frac_a[i])),
-                    repr(float(rec.frac_b[i])),
-                    repr(float(rec.mean_pay_a[i])),
-                    repr(float(rec.mean_pay_b[i])),
-                ]
+                ["run_id", "step", "fraction_a", "fraction_b", "mean_payoff_a", "mean_payoff_b"]
             )
+            for i, step in enumerate(rec.sample_steps):
+                w.writerow(
+                    [
+                        rec.run_id,
+                        int(step),
+                        repr(float(rec.frac_a[i])),
+                        repr(float(rec.frac_b[i])),
+                        repr(float(rec.mean_pay_a[i])),
+                        repr(float(rec.mean_pay_b[i])),
+                    ]
+                )
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -15,8 +15,10 @@ from netgames.engine import (
     reset_node,
     set_strategy,
     settle,
+    settle_around,
     tick,
 )
+import netgames.engine as engine
 from netgames.evolution import AdoptionConfig, adoption_event, moran_event
 from netgames.experiments import derive_seed
 from netgames.networks import Network, barabasi_albert, regular_random
@@ -334,6 +336,86 @@ class TestOnDemand:
             settle(pop, (0, 1, 2))
             assert pop.pay.tolist() == [6.0, 6.0, 9.0, 3.0]
 
+    @given(connected_graphs(), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40)
+    def test_marked_nodes_have_every_edge_settled(self, net, seed):
+        # the mark lets a lone settle return at once, so it must never claim
+        # an edge is settled that is not, through ticks, full settles,
+        # strategy changes and resets; settle_around covers every edge of
+        # every neighbour of its centres
+        events = np.random.default_rng(seed)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=seed + 1)
+        indptr, nbr, eid = net.csr()
+        with on_demand(pop, M, np.random.default_rng(seed + 2)):
+            od = pop._on_demand
+            for _ in range(300):
+                lag = pop.clock - od.full
+                op = int(events.integers(6))
+                nodes = events.integers(net.n, size=int(events.integers(1, 12)))
+                if op == 0:
+                    tick(pop)
+                elif op == 1:
+                    settle(pop, nodes)
+                elif op == 2:
+                    settle(pop, (int(nodes[0]),))
+                elif op == 3:
+                    settle_around(pop, nodes)
+                    for x in nodes:
+                        for v in nbr[indptr[x] : indptr[x + 1]]:
+                            assert np.all(od.settled[eid[indptr[v] : indptr[v + 1]]] == lag)
+                elif op == 4:
+                    set_strategy(pop, int(nodes[0]), int(events.integers(2)))
+                else:
+                    reset_node(pop, int(nodes[0]))
+                if events.random() < 0.02:
+                    settle(pop)
+                lag = pop.clock - od.full
+                for v in np.flatnonzero(od.marked == lag):
+                    assert np.all(od.settled[eid[indptr[v] : indptr[v + 1]]] == lag)
+
+    def test_settle_around_leaves_nothing_for_the_event_to_play(self):
+        net = barabasi_albert(200, 2, seed=31)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=32)
+        rng = np.random.default_rng(33)
+        with on_demand(pop, M, rng):
+            for _ in range(3):
+                tick(pop)
+            deaths = np.array([0, 5, 17, 5])
+            settle_around(pop, deaths)
+            state = rng.bit_generator.state
+            for x in deaths.tolist():
+                set_strategy(pop, x, 1 - int(pop.strat[x]))
+                reset_node(pop, x)
+            assert rng.bit_generator.state == state
+            tick(pop)
+            set_strategy(pop, 0, 1 - int(pop.strat[0]))  # the clock moved: plays
+            assert rng.bit_generator.state != state
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 8, 9, 40, 300])
+    def test_gather_by_slices_and_vectorised_agree(self, monkeypatch, size):
+        net = barabasi_albert(300, 2, seed=34)
+        indptr, nbr, eid = net.csr()
+        nodes = np.random.default_rng(size).integers(net.n, size=size)  # repeats too
+        got = []
+        for few in (0, 10_000):
+            monkeypatch.setattr(engine, "_FEW_NODES", few)
+            got.append(engine._gather(eid, indptr, nodes))
+        expected = np.concatenate([eid[indptr[v] : indptr[v + 1]] for v in nodes] or [eid[:0]])
+        for g in got:
+            assert g.dtype == eid.dtype
+            assert np.array_equal(g, expected)
+
+    def test_settle_around_is_a_noop_on_the_dense_path(self):
+        net = barabasi_albert(50, 2, seed=27)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=28)
+        rng = np.random.default_rng(29)
+        play_step(pop, M, rng)
+        mem, pay, state = pop.mem.copy(), pop.pay.copy(), rng.bit_generator.state
+        settle_around(pop, np.array([0, 1, 2]))
+        assert np.array_equal(pop.mem, mem)
+        assert np.array_equal(pop.pay, pay)
+        assert rng.bit_generator.state == state
+
     def test_settle_is_a_noop_on_the_dense_path(self):
         net = barabasi_albert(50, 2, seed=27)
         pop = init_random(net, ZD, PAVLOV, 0.5, seed=28)
@@ -358,6 +440,17 @@ class TestFitnessAndReset:
             moran_event(pop, np.random.default_rng(seed))
         with pytest.raises(IsolatedNode):
             adoption_event(pop, cfg, np.random.default_rng(seed))
+
+    def test_isolated_node_rejected_on_demand(self):
+        # a death draws the node and settles around it before it looks for a
+        # parent; an isolated node has nothing to settle and still raises
+        net = Network(3, [(0, 1)])
+        pop = Population(net, (ZD,), np.zeros(3, dtype=int))
+        seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == 2)
+        with on_demand(pop, M, np.random.default_rng(0)):
+            tick(pop)
+            with pytest.raises(IsolatedNode):
+                moran_event(pop, np.random.default_rng(seed))
 
     def test_reset_clears_payoff_and_incident_memory_only(self):
         net = Network(4, [(0, 1), (1, 2), (2, 3)])

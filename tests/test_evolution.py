@@ -1,3 +1,6 @@
+import itertools
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,15 @@ import hypothesis.strategies as st
 
 import netgames.evolution as evolution
 from netgames import experiments
-from netgames.engine import UNPLAYED, Population, init_random, play_step
+from netgames.engine import (
+    UNPLAYED,
+    Population,
+    init_random,
+    on_demand,
+    play_step,
+    settle_around,
+    tick,
+)
 from netgames.evolution import (
     AdoptionConfig,
     MoranConfig,
@@ -126,6 +137,41 @@ class TestMoranEvent:
             moran_event(pop, rng)
         assert np.array_equal(net.edges, edges_before)
 
+    def test_batched_death_reads_earlier_death_payoff_and_strategy(self):
+        # cooperators 1, 2, 4, 5 and defectors 0, 3 under fixed outcomes:
+        # death 0 copies 2 (1 and 5 earn nothing); death 1 then sees 0 at
+        # payoff 0, not its old 15, and copies 3; death 5, whose only
+        # neighbour is 0, copies 0's new strategy. Reading 0's old payoff
+        # would make death 1 copy 0 half the time, so 20 streams catch it.
+        net = Network(6, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)])
+        deaths = [0, 1, 5]
+        for seed, lazy in itertools.product(range(20), (False, True)):
+            pop = Population(net, (COOPERATOR, DEFECTOR), np.array([1, 0, 0, 1, 0, 0]))
+            pop.mem[:] = 0  # played before, so every move is fixed
+            rng = np.random.default_rng(seed)
+            with on_demand(pop, M, rng) if lazy else nullcontext():
+                if lazy:
+                    tick(pop)
+                    settle_around(pop, np.array(deaths))
+                else:
+                    play_step(pop, M, rng)
+                assert pop.pay.tolist() == [15.0, 0.0, 3.0, 5.0, 3.0, 0.0]
+                picks = [moran_event(pop, rng, x) for x in deaths]
+                assert picks == [(0, 2), (1, 3), (5, 0)], lazy
+                assert pop.strat.tolist() == [0, 1, 0, 1, 0, 0], lazy
+
+    def test_batched_death_draws_match_scalar_draws(self):
+        # run() draws a step's deaths as one array on the on-demand path; on
+        # PCG64 that gives the numbers and end state of one draw per death,
+        # so a one-death step draws what the per-event loop draws
+        for seed in range(200):
+            for n, k in ((30, 6), (1000, 1), (20_000, 20)):
+                batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert batched.integers(n, size=k).tolist() == [
+                    int(scalar.integers(n)) for _ in range(k)
+                ]
+                assert batched.bit_generator.state == scalar.bit_generator.state
+
 
 class TestAdoptionEvent:
     def test_never_adopts_from_poorer_neighbor(self):
@@ -245,6 +291,21 @@ class TestRun:
         assert lines[0] == "run_id,step,fraction_a,fraction_b,mean_payoff_a,mean_payoff_b"
         assert len(lines) == 1 + len(rec.sample_steps)
 
+    def test_run_file_is_written_whole_or_not_at_all(self, tmp_path):
+        # a good write leaves the run file alone; a record whose third row
+        # cannot be formatted makes the writer fail midway, and then neither
+        # the run file nor its temporary copy remains
+        net = regular_random(20, 4, seed=30)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=31)
+        rec = run(pop, "moran", 100, M, MoranConfig(), seed=32, sample_every=50)
+        write_run_csv(rec, tmp_path / "good.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["good.csv"]
+        rec.frac_a = rec.frac_a.astype(object)
+        rec.frac_a[2] = "not a number"
+        with pytest.raises(ValueError):
+            write_run_csv(rec, tmp_path / "run.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["good.csv"]
+
 
 class TestNeutralDrift:
     def test_single_mutant_fixation_smoke(self):
@@ -287,12 +348,12 @@ def ks_critical(n: int, m: int) -> float:
     return 1.628 * np.sqrt((n + m) / (n * m))
 
 
-def outcomes(monkeypatch, lazy, process, net, steps, seeds):
+def outcomes(monkeypatch, lazy, process, net, steps, seeds, rate=0.05):
     """Final fraction and extinction step (steps + 1 if none) of seeded runs."""
-    monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_EVENT", 0 if lazy else net.num_edges)
-    assert uses_on_demand(net.num_edges, 1, 50) is lazy
+    monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0 if lazy else net.num_edges)
+    assert uses_on_demand(net.num_edges, 50) is lazy
     if process == "moran":
-        cfg = MoranConfig(0.05)
+        cfg = MoranConfig(rate)
     else:
         cfg = AdoptionConfig.for_pair(ZD, PAVLOV, M)
     final, extinct = [], []
@@ -307,21 +368,44 @@ def outcomes(monkeypatch, lazy, process, net, steps, seeds):
 class TestOnDemandPath:
     # run() on and off the on-demand path: same process, different draws, so
     # the outcome distributions over 300 seeds must agree (KS, alpha = 0.01)
-    @pytest.mark.parametrize("process,m,steps", [("adoption", 1, 200), ("moran", 2, 150)])
-    def test_outcome_distributions_match_dense(self, monkeypatch, process, m, steps):
+    # rate 0.05 on 30 nodes is 2 deaths per step, 0.2 is 6, often neighbours
+    @pytest.mark.parametrize("process,m,steps,rate", [
+        pytest.param("adoption", 1, 200, None, id="adoption-1-200"),
+        pytest.param("moran", 2, 150, 0.05, id="moran-2-150"),
+        pytest.param("moran", 2, 60, 0.2, id="moran-2-60-0.2"),
+    ])
+    def test_outcome_distributions_match_dense(self, monkeypatch, process, m, steps, rate):
         net = barabasi_albert(30, m, seed=40)
         seeds = range(300)
-        dense = outcomes(monkeypatch, False, process, net, steps, seeds)
-        lazy = outcomes(monkeypatch, True, process, net, steps, seeds)
+        dense = outcomes(monkeypatch, False, process, net, steps, seeds, rate)
+        lazy = outcomes(monkeypatch, True, process, net, steps, seeds, rate)
         for d, z in zip(dense, lazy):
             assert len(np.unique(d)) > 10  # spread enough for the test to bite
             assert ks_statistic(d, z) < ks_critical(len(d), len(z))
+
+    def test_every_death_reads_settled_payoffs(self, monkeypatch):
+        # gadgets d - x - c: defectors d and x, and a cooperator c whose only
+        # neighbour is x. Moves are fixed, so c earns nothing and the first
+        # step's one death copies a defector wherever it falls. A death that
+        # read this step's payoffs before they were played would see all
+        # zeros, and at x copy c half the time.
+        g = 10
+        net = Network(3 * g, [(3 * i + 1, 3 * i + j) for i in range(g) for j in (0, 2)])
+        strat = np.tile([1, 1, 0], g)
+        for lazy in (False, True):
+            monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0 if lazy else net.num_edges)
+            assert uses_on_demand(net.num_edges, 2) is lazy
+            for seed in range(50):
+                pop = Population(net, (COOPERATOR, DEFECTOR), strat.copy())
+                pop.mem[:] = 0  # played before, so every move is fixed
+                run(pop, "moran", 1, M, MoranConfig(), seed=seed, sample_every=2)
+                assert np.all(pop.strat[strat == 1] == 1), (lazy, seed)
 
     def test_run_returns_with_every_edge_settled(self, monkeypatch):
         # extinction ends the run between samples, so only run's own final
         # settle plays the last step; every node whose edges were not reset
         # then holds the payoffs of that step's outcomes
-        monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_EVENT", 0)
+        monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0)
         net = barabasi_albert(40, 1, seed=41)
         pop = init_random(net, COOPERATOR, DEFECTOR, 0.5, seed=42)
         cfg = AdoptionConfig.for_pair(COOPERATOR, DEFECTOR, M)
@@ -344,16 +428,29 @@ class TestOnDemandPath:
         for name in experiments.PRESET_NAMES:
             s = experiments.reduced_profile(experiments.preset(name))
             net, _ = experiments._build_network(s, 0, None, 0)  # rewiring keeps |E|
-            events = 1
-            if s.process == "moran":
-                events = MoranConfig(s.replacement_rate).events_per_step(s.n)
-            assert not uses_on_demand(net.num_edges, events, s.sample_every), name
+            assert not uses_on_demand(net.num_edges, s.sample_every), name
+
+    def test_full_profile_presets_keep_their_paths(self):
+        # one death a step at n = 1000, so charging a settle per step instead
+        # of per event moves none of them: the 8-regular presets (|E| = 4000)
+        # play on demand, the BA ones (|E| < 2000) densely
+        lazy = set()
+        for name in experiments.PRESET_NAMES:
+            s = experiments.preset(name)
+            net, _ = experiments._build_network(s, 0, None, 0)  # rewiring keeps |E|
+            if uses_on_demand(net.num_edges, s.sample_every):
+                lazy.add(name)
+        assert lazy == {
+            "fig1_wellmixed_moran",
+            "fig1_wellmixed_moran_04",
+            "fig3_wellmixed_adoption",
+        }
 
     def test_path_choice_by_size(self):
         # the benchmark's scale runs: adoption on BA(20000, 1), death-birth
         # with 20 events per step on BA(20000, 2), both sampling every 100
-        assert uses_on_demand(19_999, 1, 100)
-        assert not uses_on_demand(39_997, MoranConfig().events_per_step(20_000), 100)
+        assert uses_on_demand(19_999, 100)
+        assert uses_on_demand(39_997, 100)
         # a sample settles every edge: sampling every step pays that each step
-        assert not uses_on_demand(19_999, 1, 1)
-        assert uses_on_demand(19_999, 1, 2)
+        assert not uses_on_demand(19_999, 1)
+        assert uses_on_demand(19_999, 2)
