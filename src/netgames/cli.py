@@ -1,4 +1,6 @@
-"""Command-line interface: run experiments, generate and measure networks."""
+"""Command-line interface: run scenarios, write their networks, measure networks.
+
+``run`` and ``netgen`` take a preset or config plus ``--set key=value``."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .experiments import (
     run_scenario,
     scenario_from_mapping,
     scenario_to_mapping,
+    write_networks,
 )
 
 _KNOWN_ERRORS = (
@@ -56,10 +59,6 @@ def _resolve_scenario(args) -> Scenario:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         mapping[key.strip()] = value.strip()
-    if args.seed is not None:
-        mapping["base_seed"] = str(args.seed)
-    if args.replicates is not None:
-        mapping["replicates"] = str(args.replicates)
     return scenario_from_mapping(mapping)
 
 
@@ -84,23 +83,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_netgen(args) -> int:
-    if args.family == "regular":
-        g = networks.regular_random(args.n, args.k, args.seed)
-    elif args.family == "complete":
-        g = networks.complete_graph(args.n)
-    else:
-        g = networks.barabasi_albert(args.n, args.m, args.seed)
-    if args.rho is not None:
-        g, achieved = networks.rewire_to_assortativity(
-            g, args.rho, tol=args.tol, max_steps=args.max_steps, seed=args.seed
+    for path, g, rho in write_networks(_resolve_scenario(args), args.out):
+        print(
+            f"wrote {path}: n={g.n} edges={g.num_edges} "
+            f"mean_degree={g.mean_degree:.4f} rho={float(rho)!r}"
         )
-        print(f"rewired to rho = {achieved:+.4f} (target {args.rho:+.4f})")
-    networks.write_edgelist(g, args.out)
-    mix = networks.assortativity(g)
-    print(
-        f"wrote {args.out}: n={g.n} edges={g.num_edges} "
-        f"mean_degree={g.mean_degree:.4f} rho={mix.rho:+.4f}"
-    )
     return 0
 
 
@@ -148,28 +135,20 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list_presets
     )
 
-    p_run = sub.add_parser("run", help="run a preset or a config file")
-    p_run.add_argument("target", help="preset name or path to a key = value config")
-    p_run.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p_run.add_argument("--replicates", type=int, default=None)
-    p_run.add_argument("--out", default=None, help="output directory (default out/<name>)")
-    p_run.add_argument("--parallel", type=int, default=1, help="worker processes")
-    p_run.add_argument(
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("target", help="preset name or path to a key = value config")
+    scenario.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="override any scenario field; may repeat",
     )
+
+    p_run = sub.add_parser("run", parents=[scenario], help="run a preset or a config file")
+    p_run.add_argument("--out", default=None, help="output directory (default out/<name>)")
+    p_run.add_argument("--parallel", type=int, default=1, help="worker processes")
     p_run.set_defaults(func=_cmd_run)
 
-    p_gen = sub.add_parser("netgen", help="generate a network edge list")
-    p_gen.add_argument("--family", choices=("ba", "regular", "complete"), default="ba")
-    p_gen.add_argument("--n", type=int, default=1000)
-    p_gen.add_argument("--m", type=int, default=1, help="edges per new node (ba)")
-    p_gen.add_argument("--k", type=int, default=8, help="degree (regular)")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--rho", type=float, default=None, help="rewire to this assortativity")
-    p_gen.add_argument("--tol", type=float, default=0.02)
-    p_gen.add_argument("--max-steps", type=int, default=400_000)
-    p_gen.add_argument("--out", required=True)
+    p_gen = sub.add_parser("netgen", parents=[scenario], help="write a scenario's network files")
+    p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=_cmd_netgen)
 
     p_meas = sub.add_parser("measure", help="measure a network edge list")

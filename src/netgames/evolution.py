@@ -35,7 +35,6 @@ draws, so an on-demand step with one death draws the same stream as one
 from __future__ import annotations
 
 import csv
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -54,6 +53,7 @@ from .engine import (
     tick,
 )
 from .engine import IsolatedNode
+from .networks import _written_whole
 from .pairchain import expected_payoffs
 from .strategies import MemoryOneStrategy, PayoffMatrix
 
@@ -264,6 +264,8 @@ def run(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if sample_every < 1:
+        raise ValueError(f"sample_every={sample_every} must be >= 1")
     if len(pop.strategies) != 2:
         raise ValueError("run expects a two-strategy table")
     if process == "moran":
@@ -363,32 +365,20 @@ def run(
 
 
 def write_run_csv(rec: RunRecord, path) -> None:
-    """Time-series CSV: run_id, step, fraction_a, fraction_b, mean_payoff_a, mean_payoff_b.
-
-    The rows go to ``<path>.tmp`` first, which then replaces ``path``, so
-    ``path`` never holds a half-written file; a failed write removes the
-    temporary file.
-    """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
+    """Time-series CSV: run_id, step, fraction_a, fraction_b, mean_payoff_a, mean_payoff_b."""
+    with _written_whole(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["run_id", "step", "fraction_a", "fraction_b", "mean_payoff_a", "mean_payoff_b"]
+        )
+        for i, step in enumerate(rec.sample_steps):
             w.writerow(
-                ["run_id", "step", "fraction_a", "fraction_b", "mean_payoff_a", "mean_payoff_b"]
+                [
+                    rec.run_id,
+                    int(step),
+                    repr(float(rec.frac_a[i])),
+                    repr(float(rec.frac_b[i])),
+                    repr(float(rec.mean_pay_a[i])),
+                    repr(float(rec.mean_pay_b[i])),
+                ]
             )
-            for i, step in enumerate(rec.sample_steps):
-                w.writerow(
-                    [
-                        rec.run_id,
-                        int(step),
-                        repr(float(rec.frac_a[i])),
-                        repr(float(rec.frac_b[i])),
-                        repr(float(rec.mean_pay_a[i])),
-                        repr(float(rec.mean_pay_b[i])),
-                    ]
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise

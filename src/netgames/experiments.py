@@ -27,13 +27,13 @@ Outputs land in one directory per scenario:
                         result.* summary keys
 
 Everything written is deterministic for a given scenario, so rerunning a
-scenario reproduces its output files byte for byte.
+scenario reproduces its output files byte for byte. Each file is written
+whole or not at all, and stale run and network files are removed first.
 """
 
 from __future__ import annotations
 
 import csv
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -45,6 +45,7 @@ from .evolution import AdoptionConfig, MoranConfig, RunRecord, run, write_run_cs
 from .networks import (
     Network,
     TargetUnreachable,
+    _written_whole,
     assortativity,
     barabasi_albert,
     complete_graph,
@@ -110,6 +111,8 @@ class Scenario:
             raise ValueError("fraction_a outside [0, 1]")
         if self.replicates < 1 or self.steps < 1:
             raise ValueError("replicates and steps must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed={self.base_seed} must be >= 0")
         if self.sample_every < 1:
             raise ValueError(f"sample_every={self.sample_every} must be >= 1")
         if not self.rho_tol > 0.0:
@@ -400,10 +403,6 @@ def _build_network(
         net = barabasi_albert(s.n, s.ba_m, gen_seed)
     if target is None:
         return net, assortativity(net).rho
-    # one walk per draw: a draw whose degree sequence caps rho short of the
-    # target (big hubs in a small graph must mostly touch low-degree nodes)
-    # ends every walk at about the same rho, so retrying learns nothing; the
-    # TargetUnreachable carries the graph the walk ended on
     return rewire_to_assortativity(
         net, target, tol=s.rho_tol, max_steps=s.rewire_max_steps,
         seed=derive_seed(s.base_seed, 202, group, rep, 0),
@@ -417,7 +416,7 @@ def _execute_run(
     target: float | None,
     achieved_rho: float,
     run_index: int,
-    runs_dir: Path | None,
+    runs_dir: Path,
 ) -> RunRecord:
     rep = run_index - group * s.replicates
     if net is None:  # sweep replicate after the first: build its own network
@@ -459,8 +458,7 @@ def _execute_run(
     rec.seed = seed  # report the replicate seed, not the derived dynamics seed
     rec.target_rho = target
     rec.achieved_rho = achieved_rho
-    if runs_dir is not None:
-        write_run_csv(rec, runs_dir / f"run_{run_index:04d}.csv")
+    write_run_csv(rec, runs_dir / f"run_{run_index:04d}.csv")
     return rec
 
 
@@ -475,39 +473,54 @@ def read_final_fraction(run_csv) -> float:
     return float(last["fraction_a"])
 
 
-def run_scenario(
-    s: Scenario, parallelism: int = 1, out_dir=None
-) -> SweepResult:
+def _remove_stale(directory: Path, pattern: str, keep=()) -> None:
+    for path in directory.glob(pattern):
+        if path.name not in keep:
+            path.unlink()
+
+
+def write_networks(s: Scenario, out_dir) -> list[tuple[Path, Network, float]]:
+    """Build a scenario's networks, then write them into ``out_dir`` as a run does.
+
+    Returns (path, network, rho) per file, rho as aggregate.csv records it.
+    """
+    targets = s.rho_targets or (None,)
+    built = [_build_network(s, gi, target, rep=0) for gi, target in enumerate(targets)]
+    names = [f"network_{gi:02d}.edges" for gi in range(len(s.rho_targets))] or ["network.edges"]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _remove_stale(out, "network*.edges", keep=names)
+    for name, (net, _) in zip(names, built):
+        write_edgelist(net, out / name)
+    return [(out / name, net, rho) for name, (net, rho) in zip(names, built)]
+
+
+def run_scenario(s: Scenario, out_dir, parallelism: int = 1) -> SweepResult:
     """Execute all replicates of a scenario and persist + aggregate the results.
 
     Aggregate statistics are recomputed from the per-run CSV files after all
     workers finish, so the persisted files are the source of truth.
     """
-    sweep = bool(s.rho_targets)
-    targets: tuple[float | None, ...] = s.rho_targets if sweep else (None,)
-    # the shared network, or each sweep target's representative (also its
-    # replicate 0's network), built before anything is written: a bad
-    # network parameter or an unreachable target leaves no output behind
-    built = [_build_network(s, gi, target, rep=0) for gi, target in enumerate(targets)]
-
-    out = Path(out_dir) if out_dir is not None else Path(tempfile.mkdtemp(prefix=f"{s.name}-"))
+    targets: tuple[float | None, ...] = s.rho_targets or (None,)
+    files = write_networks(s, out_dir)
+    out = Path(out_dir)
     runs_dir = out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
+    runs_dir.mkdir(exist_ok=True)
     tasks = []
-    for gi, (target, (net, rho)) in enumerate(zip(targets, built)):
-        write_edgelist(net, out / (f"network_{gi:02d}.edges" if sweep else "network.edges"))
+    for gi, (target, (_, net, rho)) in enumerate(zip(targets, files)):
         for rep in range(s.replicates):
             run_index = gi * s.replicates + rep
             tasks.append((s, net, gi, target, rho, run_index, runs_dir))
-            if sweep:  # later sweep replicates build their own draws
+            if s.rho_targets:  # later sweep replicates build their own draws
                 net, rho = None, float("nan")
+    _remove_stale(runs_dir, "run_*.csv", keep={f"run_{i:04d}.csv" for i in range(len(tasks))})
+    _remove_stale(runs_dir, "*.csv.tmp")
 
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             records = list(pool.map(_execute_run, *zip(*tasks)))
     else:
-        records = list(map(_execute_run, *zip(*tasks)))
-    records.sort(key=lambda r: r.run_id)
+        records = list(map(_execute_run, *zip(*tasks)))  # either map keeps run_id order
 
     # aggregate from the persisted per-run files, not the in-memory records
     finals = [read_final_fraction(runs_dir / f"run_{r.run_id:04d}.csv") for r in records]
@@ -548,7 +561,7 @@ def run_scenario(
 def _write_aggregate(
     path, records: list[RunRecord], finals: list[float], replicates: int
 ) -> None:
-    with open(path, "w", newline="") as fh:
+    with _written_whole(path) as fh:
         w = csv.writer(fh)
         w.writerow(
             [
@@ -588,4 +601,5 @@ def _write_meta(path, result: SweepResult) -> None:
         lines.append(f"{prefix}.achieved_rho = {g.achieved_rho!r}")
         lines.append(f"{prefix}.mean_degree = {g.mean_degree!r}")
         lines.append(f"{prefix}.mean_final_fraction_a = {g.mean_final!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _written_whole(path) as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -8,6 +8,7 @@ that downstream iteration order is reproducible.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,9 +218,10 @@ def assortativity(g: Network) -> DegreeMixing:
 def rewire_to_assortativity(
     g: Network,
     target_rho: float,
-    tol: float = 0.02,
-    max_steps: int = 200_000,
-    seed: int = 0,
+    *,
+    tol: float,
+    max_steps: int,
+    seed: int,
 ) -> tuple[Network, float]:
     """Push assortativity toward a target with degree-preserving double-edge swaps.
 
@@ -401,10 +403,23 @@ def fit_power_law(degrees, counts) -> tuple[float, float]:
     return -sxy / sxx, sxy / float(np.sqrt(sxx * syy))
 
 
+@contextmanager
+def _written_whole(path):
+    """Write ``<path>.tmp``, then rename it to ``path``; on error remove it."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_edgelist(g: Network, path) -> None:
     """One "u v" pair per line, 0-indexed, each undirected edge listed once."""
-    lines = [f"{u} {v}" for u, v in g.edges]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    with _written_whole(path) as fh:
+        fh.writelines(f"{u} {v}\n" for u, v in g.edges)
 
 
 def read_edgelist(path, n: int | None = None) -> Network:
@@ -427,4 +442,5 @@ def write_degree_histogram(g: Network, path) -> None:
     """CSV with columns degree,count."""
     stats = degree_stats(g)
     rows = ["degree,count"] + [f"{int(d)},{int(c)}" for d, c in stats.histogram]
-    Path(path).write_text("\n".join(rows) + "\n")
+    with _written_whole(path) as fh:
+        fh.write("\n".join(rows) + "\n")

@@ -1,3 +1,4 @@
+import errno
 import itertools
 from contextlib import nullcontext
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import netgames.evolution as evolution
-from netgames import experiments
+from netgames import experiments, networks
 from netgames.engine import (
     UNPLAYED,
     Population,
@@ -221,6 +222,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(pop, "moran", 0, M, MoranConfig(), seed=1)
 
+    @pytest.mark.parametrize("sample_every", [0, -5])
+    def test_sample_every_guard(self, sample_every):
+        net = regular_random(10, 2, seed=15)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=16)
+        with pytest.raises(ValueError, match="sample_every"):
+            run(pop, "moran", 10, M, MoranConfig(), seed=1, sample_every=sample_every)
+
     def test_unknown_process(self):
         net = regular_random(10, 2, seed=15)
         pop = init_random(net, ZD, PAVLOV, 0.5, seed=16)
@@ -305,6 +313,53 @@ class TestRun:
         with pytest.raises(ValueError):
             write_run_csv(rec, tmp_path / "run.csv")
         assert [p.name for p in tmp_path.iterdir()] == ["good.csv"]
+
+        # every output writer, on a disk that fills up halfway through its
+        # first write: the file it was writing is not left behind either
+        rec.frac_a = rec.frac_b.copy()
+        scenario = experiments.Scenario(name="whole")
+        result = experiments.SweepResult(
+            scenario=scenario, records=[rec], final_fractions=[0.5], mean_final=0.5,
+            std_final=0.0, groups=[], correlation=None, out_dir=tmp_path,
+        )
+        writers = {
+            "run.csv": lambda path: write_run_csv(rec, path),
+            "aggregate.csv": lambda path: experiments._write_aggregate(path, [rec], [0.5], 1),
+            "meta.txt": lambda path: experiments._write_meta(path, result),
+            "network.edges": lambda path: networks.write_edgelist(net, path),
+            "hist.csv": lambda path: networks.write_degree_histogram(net, path),
+        }
+
+        class DiskFull:
+            def __init__(self, *args, **kwargs):
+                self._fh = open(*args, **kwargs)
+
+            def write(self, text):
+                self._fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        for name, write in writers.items():
+            good = tmp_path / "good" / name
+            good.parent.mkdir(exist_ok=True)
+            write(good)
+            full = tmp_path / "full"
+            full.mkdir(exist_ok=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(networks, "open", DiskFull, raising=False)
+                with pytest.raises(OSError):
+                    write(full / name)
+            assert list(full.iterdir()) == [], name
+        assert sorted(p.name for p in (tmp_path / "good").iterdir()) == sorted(writers)
 
 
 class TestNeutralDrift:

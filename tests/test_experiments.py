@@ -1,4 +1,5 @@
 import csv
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import netgames.experiments as experiments
-from netgames.cli import main
+from netgames.cli import build_parser, main
 from netgames.experiments import (
     PRESET_NAMES,
     PRESETS,
@@ -155,6 +156,7 @@ _BAD_VALUES = [
     ("replacement_rate", 1.5),
     ("strategy_a", "bogus"),
     ("strategy_b", "bogus"),
+    ("base_seed", -1),
 ]
 
 
@@ -320,6 +322,34 @@ class TestRunScenario:
             walks = [derive_seed(s.base_seed, 202, g, r, 0) for g in (0, 1) for r in range(3)]
             assert sorted(seeds) == sorted(walks)
 
+    def _files(self, out):
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def test_rerun_in_place_reproduces_every_file(self, tmp_path):
+        s = self._short_sweep()
+        run_scenario(s, out_dir=tmp_path / "out")
+        before = self._files(tmp_path / "out")
+        run_scenario(s, out_dir=tmp_path / "out")
+        assert self._files(tmp_path / "out") == before
+
+    def test_rerun_with_fewer_replicates_removes_stale_runs(self, tmp_path):
+        out = tmp_path / "out"
+        run_scenario(tiny_scenario(replicates=3), out_dir=out)
+        (out / "runs" / "run_0007.csv.tmp").write_text("killed mid-write")
+        (out / "notes.txt").write_text("kept")
+        run_scenario(tiny_scenario(replicates=2), out_dir=out)
+        run_scenario(tiny_scenario(replicates=2), out_dir=tmp_path / "fresh")
+        files = self._files(out)
+        assert files.pop("notes.txt") == b"kept"
+        assert files == self._files(tmp_path / "fresh")
+
+    def test_plain_run_after_sweep_removes_sweep_files(self, tmp_path):
+        out = tmp_path / "out"
+        run_scenario(self._short_sweep(), out_dir=out)
+        run_scenario(tiny_scenario(), out_dir=out)
+        run_scenario(tiny_scenario(), out_dir=tmp_path / "fresh")
+        assert self._files(out) == self._files(tmp_path / "fresh")
+
     def test_sweep_fails_fast_when_replicate_zero_misses(self, tmp_path):
         s = self._short_sweep(rho_targets=(0.0, 0.9))
         with pytest.raises(TargetUnreachable) as exc:
@@ -339,7 +369,7 @@ class TestCLI:
         code = main([
             "run", "fig3_wellmixed_adoption",
             "--out", str(tmp_path / "cli"),
-            "--replicates", "1",
+            "--set", "replicates=1",
             "--set", "n=24",
             "--set", "steps=60",
             "--set", "degree=4",
@@ -375,26 +405,68 @@ class TestCLI:
         assert not out.exists()
 
     def test_netgen_measure_roundtrip(self, tmp_path, capsys):
-        edges = tmp_path / "net.edges"
-        assert main(["netgen", "--family", "ba", "--n", "120", "--m", "2",
-                     "--seed", "5", "--out", str(edges)]) == 0
+        nets = tmp_path / "nets"
+        assert main(["netgen", "fig2_sf_moran", "--set", "n=120", "--out", str(nets)]) == 0
         hist = tmp_path / "hist.csv"
-        assert main(["measure", str(edges), "--hist", str(hist), "--fit"]) == 0
+        assert main(["measure", str(nets / "network.edges"), "--hist", str(hist), "--fit"]) == 0
         out = capsys.readouterr().out
         assert "n = 120" in out and "rho = " in out and "powerlaw_gamma" in out
         assert hist.read_text().startswith("degree,count\n")
 
     def test_netgen_with_rho_target(self, tmp_path, capsys):
-        edges = tmp_path / "rw.edges"
-        assert main(["netgen", "--family", "ba", "--n", "150", "--m", "2",
-                     "--seed", "6", "--rho", "-0.2", "--tol", "0.05",
-                     "--out", str(edges)]) == 0
-        assert "rewired to rho" in capsys.readouterr().out
+        out = tmp_path / "nets"
+        assert main(["netgen", "fig7_assortativity_sweep", "--set", "n=150",
+                     "--set", "rho_targets=-0.2", "--out", str(out)]) == 0
+        line = capsys.readouterr().out
+        rho = float(line.split("rho=")[1])
+        assert abs(rho - -0.2) <= 2 * preset("fig7_assortativity_sweep").rho_tol
+        assert main(["measure", str(out / "network_00.edges")]) == 0
+        measured = capsys.readouterr().out.split("rho = ")[1]
+        assert float(measured) == pytest.approx(rho, abs=1e-9)
 
     def test_netgen_infeasible_fails_cleanly(self, tmp_path, capsys):
-        assert main(["netgen", "--family", "regular", "--n", "5", "--k", "3",
-                     "--out", str(tmp_path / "x.edges")]) == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "nets"
+        assert main(["netgen", "fig1_wellmixed_moran", "--set", "n=5", "--set", "degree=3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_netgen_writes_the_networks_run_writes(self, tmp_path, capsys, name):
+        s = reduced_profile(preset(name))
+        assert main(["netgen", name, "--set", f"n={s.n}", "--out", str(tmp_path / "gen")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        run_scenario(replace(s, replicates=1, steps=20), out_dir=tmp_path / "run")
+        written = sorted(p.name for p in (tmp_path / "gen").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "run").glob("network*.edges"))
+        assert len(written) == len(printed) == max(1, len(s.rho_targets))
+        for file in written:
+            assert (tmp_path / "gen" / file).read_bytes() == (tmp_path / "run" / file).read_bytes()
+        # with one replicate, aggregate row g is the run on network file g
+        with open(tmp_path / "run" / "aggregate.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for line, file, row in zip(printed, written, rows):
+            assert line.startswith(f"wrote {tmp_path / 'gen' / file}: n={s.n} ")
+            assert line.endswith(f" rho={row['achieved_rho']}")
+
+    def test_netgen_removes_network_files_it_does_not_rewrite(self, tmp_path):
+        out = tmp_path / "nets"
+        assert main(["netgen", "fig7_assortativity_sweep", "--set", "n=60",
+                     "--set", "rho_targets=-0.1,0.0", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept")
+        assert main(["netgen", "fig2_sf_moran", "--set", "n=60", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["network.edges", "notes.txt"]
+
+    def test_readme_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                    if line.startswith("netgames ")]
+        assert len(commands) >= 5
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
     def test_correlate_csv(self, tmp_path, capsys):
         data = tmp_path / "pts.csv"
