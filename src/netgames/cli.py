@@ -86,7 +86,7 @@ def _cmd_netgen(args) -> int:
     for path, g, rho in write_networks(_resolve_scenario(args), args.out):
         print(
             f"wrote {path}: n={g.n} edges={g.num_edges} "
-            f"mean_degree={g.mean_degree:.4f} rho={float(rho)!r}"
+            f"mean_degree={g.mean_degree:.4f} rho={rho!r}"
         )
     return 0
 

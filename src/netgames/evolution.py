@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
+    IsolatedNode,
     Population,
     _round_half_up,
     class_mean_degrees,
@@ -52,7 +53,6 @@ from .engine import (
     settle_around,
     tick,
 )
-from .engine import IsolatedNode
 from .networks import _written_whole
 from .pairchain import expected_payoffs
 from .strategies import MemoryOneStrategy, PayoffMatrix
@@ -116,17 +116,22 @@ class AdoptionConfig:
         return cls(normalizer=abs(e.e_ab - e.e_ba), fallback_normalizer=m.t - m.s)
 
 
+def _neighbors(pop: Population, x: int) -> np.ndarray:
+    """x's row of the CSR neighbour array; an isolated x raises IsolatedNode."""
+    indptr, nbr, _ = pop.net.csr()
+    lo, hi = indptr[x], indptr[x + 1]
+    if hi == lo:
+        raise IsolatedNode(f"node {x} has no neighbors")
+    return nbr[lo:hi]
+
+
 def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
     """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0.
 
     A node's fitness is its payoff divided by its degree, computed here only.
     The neighbors' edges must be settled already.
     """
-    indptr, nbr, _ = pop.net.csr()
-    lo, hi = indptr[x], indptr[x + 1]
-    if hi == lo:
-        raise IsolatedNode(f"node {x} has no neighbors")
-    nbrs = nbr[lo:hi]
+    nbrs = _neighbors(pop, x)
     w = np.maximum(pop.pay[nbrs] / pop.net.degrees[nbrs], 0.0)
     tot = w.sum()
     if tot <= 0.0:
@@ -182,11 +187,8 @@ def adoption_event(
     the update local and lets the payoff gap alone decide.
     """
     x = int(rng.integers(pop.n))
-    indptr, nbr, _ = pop.net.csr()
-    lo, hi = indptr[x], indptr[x + 1]
-    if hi == lo:
-        raise IsolatedNode(f"node {x} has no neighbors")
-    y = int(nbr[lo + rng.integers(hi - lo)])
+    nbrs = _neighbors(pop, x)
+    y = int(nbrs[rng.integers(len(nbrs))])
     settle(pop, (x, y))
     p = adoption_probability(
         float(pop.pay[x]),

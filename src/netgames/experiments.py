@@ -123,6 +123,10 @@ class Scenario:
             raise ValueError(f"replacement_rate={self.replacement_rate} outside (0, 1]")
         if self.rho_targets and self.family != "ba":
             raise ValueError("assortativity sweeps need the ba family")
+        try:
+            self.matrix  # PayoffMatrix enforces t > r > p > s
+        except ValueError as exc:
+            raise ValueError(f"payoff_t, payoff_r, payoff_p, payoff_s: {exc}") from None
 
     @property
     def matrix(self) -> PayoffMatrix:
@@ -329,12 +333,13 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         if key not in defaults:
             raise ValueError(f"unknown scenario key {key!r}")
         kind = type(defaults[key])
-        if kind is tuple:
-            kwargs[key] = tuple(float(t) for t in raw.split(",") if t.strip()) if raw else ()
-        elif kind in (int, float):
-            kwargs[key] = kind(raw)
-        else:
-            kwargs[key] = raw
+        try:
+            if kind is tuple:
+                kwargs[key] = tuple(float(t) for t in raw.split(",") if t.strip())
+            else:
+                kwargs[key] = kind(raw) if kind in (int, float) else raw
+        except ValueError:
+            raise ValueError(f"cannot parse {key}={raw!r}") from None
     if "name" not in kwargs:
         raise ValueError("config must define a name")
     return Scenario(**kwargs)

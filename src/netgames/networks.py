@@ -81,23 +81,30 @@ class Network:
         return self._csr
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        if self.num_edges < self.n - 1:
-            return False
         indptr, nbr, _ = self.csr()
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in nbr[indptr[u] : indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(int(v))
-        return count == self.n
+        flat, cut = nbr.tolist(), indptr.tolist()
+        return _reaches([flat[cut[u] : cut[u + 1]] for u in range(self.n)], self.n, 0)
+
+
+def _reaches(neighbours, n: int, start: int, goal: int | None = None) -> bool:
+    """Breadth-first search from ``start`` over ``neighbours[u]`` (nodes 0..n-1).
+
+    With a ``goal`` (not ``start``) it answers whether the goal is reached,
+    stopping as soon as it is; without one, whether all n nodes are.
+    """
+    seen = bytearray(n)
+    seen[start] = 1
+    queue = deque([start])
+    count = 1
+    while queue:
+        for v in neighbours[queue.popleft()]:
+            if not seen[v]:
+                if v == goal:
+                    return True
+                seen[v] = 1
+                count += 1
+                queue.append(v)
+    return goal is None and count == n
 
 
 def complete_graph(n: int) -> Network:
@@ -215,6 +222,16 @@ def assortativity(g: Network) -> DegreeMixing:
     return DegreeMixing(q=q, e_jk=e, sigma_q=float(np.sqrt(max(var, 0.0))), rho=rho)
 
 
+def _relink(adj: list[set[int]], drop, add) -> None:
+    """Remove the edges in ``drop`` from adjacency sets, then insert ``add``."""
+    for u, v in drop:
+        adj[u].discard(v)
+        adj[v].discard(u)
+    for u, v in add:
+        adj[u].add(v)
+        adj[v].add(u)
+
+
 def rewire_to_assortativity(
     g: Network,
     target_rho: float,
@@ -230,11 +247,17 @@ def rewire_to_assortativity(
     and connected. Stops once |rho - target| <= tol; after max_steps proposals
     the graph is returned if within 2*tol, otherwise TargetUnreachable is
     raised (with the best graph attached, so the caller may still accept it).
+
+    ``g`` must be connected. Then a swap of a-b and c-d keeps it connected
+    exactly when a still reaches b: each piece left by removing the two edges
+    holds one of a, b, c, d, and each new edge joins a or b to c or d.
     """
     if not -1.0 <= target_rho <= 1.0:
         raise InvalidParameter(f"target rho {target_rho} outside [-1, 1]")
     if g.num_edges < 2:
         raise EmptyGraph("rewiring needs at least two edges")
+    if not g.is_connected():
+        raise InvalidParameter("rewiring needs a connected graph")
     num_e = g.num_edges
     rem = (g.degrees - 1).astype(float)
     ends = np.concatenate([rem[g.edges[:, 0]], rem[g.edges[:, 1]]])
@@ -251,32 +274,17 @@ def rewire_to_assortativity(
         )
 
     edges = [(int(u), int(v)) for u, v in g.edges]
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
     s_sum = float(sum(rem[u] * rem[v] for u, v in edges))
 
     def rho_of(s: float) -> float:
         return (s / num_e - mu * mu) / var
 
-    def connected() -> bool:
-        seen = bytearray(g.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    queue.append(y)
-        return count == g.n
-
-    rng = np.random.default_rng(seed)
     cur = rho_of(s_sum)
-    accepted = 0
+    if abs(cur - target_rho) <= tol:
+        return g, cur
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    _relink(adj, (), edges)
+    rng = np.random.default_rng(seed)
     steps = 0
     plateau_p = 0.05  # occasional gap-neutral swaps keep the greedy walk from jamming
     while abs(cur - target_rho) > tol and steps < max_steps:
@@ -294,9 +302,8 @@ def rewire_to_assortativity(
             ((a, c), (b, d), rem[a] * rem[c] + rem[b] * rem[d]),
             ((a, d), (b, c), rem[a] * rem[d] + rem[b] * rem[c]),
         )
-        gap = abs(cur - target_rho)
         best = None
-        best_gap = gap
+        best_gap = abs(cur - target_rho)
         plateau = None
         for e1, e2, new in variants:
             new_gap = abs(rho_of(s_sum - old + new) - target_rho)
@@ -314,34 +321,19 @@ def rewire_to_assortativity(
             best = plateau
         if best is None:
             continue
-        (p1, q1), (p2, q2) = best[0], best[1]
+        removed = ((a, b), (c, d))
+        (p1, q1), (p2, q2) = added = best[:2]
         # apply tentatively, revert if the swap disconnects the graph
-        adj[a].discard(b)
-        adj[b].discard(a)
-        adj[c].discard(d)
-        adj[d].discard(c)
-        adj[p1].add(q1)
-        adj[q1].add(p1)
-        adj[p2].add(q2)
-        adj[q2].add(p2)
-        if not connected():
-            adj[p1].discard(q1)
-            adj[q1].discard(p1)
-            adj[p2].discard(q2)
-            adj[q2].discard(p2)
-            adj[a].add(b)
-            adj[b].add(a)
-            adj[c].add(d)
-            adj[d].add(c)
+        _relink(adj, removed, added)
+        if not _reaches(adj, g.n, a, b):
+            _relink(adj, added, removed)
             continue
         edges[i] = (p1, q1) if p1 < q1 else (q1, p1)
         edges[j] = (p2, q2) if p2 < q2 else (q2, p2)
         s_sum = s_sum - old + best[2]
         cur = rho_of(s_sum)
-        accepted += 1
 
-    if accepted == 0 and abs(cur - target_rho) <= tol:
-        return g, cur
+    cur = float(cur)
     result = Network(g.n, edges)
     if abs(cur - target_rho) <= 2.0 * tol:
         return result, cur

@@ -157,6 +157,7 @@ _BAD_VALUES = [
     ("strategy_a", "bogus"),
     ("strategy_b", "bogus"),
     ("base_seed", -1),
+    ("payoff_t", 1.0),
 ]
 
 
@@ -190,6 +191,16 @@ class TestScenarioValidation:
         assert code == 1
         assert err.count("\n") == 1 and "strategy_b='bogus'" in err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("item", ["steps=abc", "rho_targets=0.1,a"])
+    def test_cli_reports_unparsable_value_in_one_line(self, tmp_path, capsys, item):
+        out = tmp_path / "out"
+        code = main(["run", "fig7_assortativity_sweep", "--out", str(out), "--set", item])
+        err = capsys.readouterr().err
+        key, _, raw = item.partition("=")
+        assert code == 1
+        assert err.count("\n") == 1 and f"{key}={raw!r}" in err
+        assert not out.exists()
 
 
 class TestRunScenario:
@@ -393,7 +404,8 @@ class TestCLI:
     @pytest.mark.parametrize("target,overrides", [
         ("fig1_wellmixed_moran", ["n=5", "degree=3"]),  # odd stub count
         ("fig2_sf_moran", ["n=1"]),  # BA needs m < n
-    ], ids=["regular", "ba"])
+        ("fig1_wellmixed_moran", ["n=30", "payoff_t=1"]),  # breaks t > r > p > s
+    ], ids=["regular", "ba", "payoff"])
     def test_bad_network_parameter_leaves_no_output(self, tmp_path, capsys, target, overrides):
         out = tmp_path / "out"
         argv = ["run", target, "--out", str(out)]

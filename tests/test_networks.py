@@ -9,6 +9,7 @@ from netgames.networks import (
     InvalidParameter,
     Network,
     TargetUnreachable,
+    _reaches,
     assortativity,
     barabasi_albert,
     complete_graph,
@@ -237,6 +238,58 @@ class TestRewire:
             out = exc.network
         assert np.array_equal(out.degrees, g.degrees)
         assert out.is_connected()
+
+    def test_rho_is_a_float_on_every_path(self):
+        g = barabasi_albert(200, 2, seed=8)
+        out, moved = rewire_to_assortativity(g, -0.2, tol=0.02, max_steps=100_000, seed=1)
+        assert out is not g
+        _, kept = rewire_to_assortativity(g, assortativity(g).rho, tol=0.02, max_steps=10, seed=1)
+        pinned_g = regular_random(40, 4, seed=10)
+        _, pinned = rewire_to_assortativity(pinned_g, 0.0, tol=0.02, max_steps=10, seed=4)
+        with pytest.raises(TargetUnreachable) as exc:
+            rewire_to_assortativity(g, 0.9, tol=0.02, max_steps=2000, seed=1)
+        for rho in (moved, kept, pinned, exc.value.achieved_rho):
+            assert type(rho) is float
+
+    def test_disconnected_input_rejected(self):
+        g = Network(8, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 7), (5, 7)])
+        with pytest.raises(InvalidParameter, match="connected"):
+            rewire_to_assortativity(g, 0.0, tol=0.02, max_steps=100, seed=6)
+
+
+def _adjacency(n, edges):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+class TestReaches:
+    def test_with_and_without_goal(self):
+        assert _reaches(_adjacency(4, [(0, 1), (1, 2), (2, 3)]), 4, 0)
+        assert not _reaches(_adjacency(4, [(0, 1), (2, 3)]), 4, 0)
+        assert _reaches(_adjacency(4, [(0, 1), (2, 3)]), 4, 0, goal=1)
+        assert not _reaches(_adjacency(4, [(0, 1), (2, 3)]), 4, 0, goal=2)
+
+    @given(connected_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_a_reaches_b_iff_swap_keeps_graph_connected(self, g, seed):
+        # the rewiring walk's lemma: on a connected graph, removing a-b and
+        # c-d and adding a re-pairing leaves it connected iff a reaches b
+        edges = {(int(u), int(v)) for u, v in g.edges}
+        listed = sorted(edges)
+        picks = np.random.default_rng(seed).integers(len(listed), size=(30, 2))
+        for i, j in picks.tolist():
+            (a, b), (c, d) = listed[i], listed[j]
+            if len({a, b, c, d}) < 4:
+                continue
+            for added in (((a, c), (b, d)), ((a, d), (b, c))):
+                if any(tuple(sorted(e)) in edges for e in added):
+                    continue  # the walk only proposes swaps that stay simple
+                swapped = (edges - {(a, b), (c, d)}) | {tuple(sorted(e)) for e in added}
+                reached = _reaches(_adjacency(g.n, swapped), g.n, a, b)
+                assert reached == Network(g.n, swapped).is_connected()
 
 
 class TestDegreeStats:
