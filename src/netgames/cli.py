@@ -99,8 +99,8 @@ def _cmd_measure(args) -> int:
     print(f"mean_degree = {g.mean_degree!r}")
     print(f"rho = {mix.rho!r}")
     if args.fit:
-        stats = networks.degree_stats(g)
-        gamma, r = networks.fit_power_law(stats.histogram[:, 0], stats.histogram[:, 1])
+        hist = networks.degree_stats(g)
+        gamma, r = networks.fit_power_law(hist[:, 0], hist[:, 1])
         print(f"powerlaw_gamma = {gamma!r}")
         print(f"powerlaw_pearson_r = {r!r}")
     if args.hist:
@@ -111,14 +111,20 @@ def _cmd_measure(args) -> int:
 
 def _cmd_correlate(args) -> int:
     points = []
+    header_allowed = True  # only the first non-comment row may be a header
     with open(args.csv, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].startswith("#"):
                 continue
             try:
                 points.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header line
+            except (ValueError, IndexError):
+                if not header_allowed:
+                    raise ValueError(
+                        f"{args.csv} line {rows.line_num}: need two numbers, got {row!r}"
+                    ) from None
+            header_allowed = False
     r = correlate(points)
     print(f"pearson_r = {r!r}")
     return 0

@@ -231,10 +231,11 @@ class _OnDemand:
     ``full`` is the last step every edge was played, and ``settled[e]`` the
     last step edge e was, counted from ``full`` (so it fits a byte).
     ``marked[v]`` equal to the current lag (clock - full) says every edge of
-    node v is settled this step, so settling v alone can return at once; any
-    other value says nothing. ``paid`` lists the node arrays that have had
-    payoffs added this step: the next tick zeroes just those, so a node's
-    payoff is always the sum over its edges played this step.
+    node v is settled this step (settle marks its nodes, settle_around its
+    centres), so settling v alone can return at once; any other value says
+    nothing. ``paid`` lists what the next tick zeroes, the node arrays paid
+    since the last tick (``slice(None)`` for all, on entry and after a full
+    settle), so a node's payoff is the sum over its edges played this step.
     """
 
     def __init__(self, pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> None:
@@ -243,7 +244,7 @@ class _OnDemand:
         self.settled = np.zeros(pop.net.num_edges, dtype=np.uint8)
         self.marked = np.zeros(pop.n, dtype=np.uint8)
         self.full = pop.clock
-        self.paid: list[np.ndarray] = []
+        self.paid: list = [slice(None)]
         self.rows = len(pop.strategies) ** 2 * _STATES
         self.jump = _jump_table(pop.strategies)
 
@@ -304,11 +305,8 @@ def tick(pop: Population) -> None:
     od = pop._on_demand
     if pop.clock - od.full >= _MAX_GAP:
         settle(pop)
-    if od.full == pop.clock:
-        pop.pay[:] = 0.0
-    else:
-        for nodes in od.paid:
-            pop.pay[nodes] = 0.0
+    for nodes in od.paid:
+        pop.pay[nodes] = 0.0
     od.paid.clear()
     pop.clock += 1
 
@@ -319,11 +317,11 @@ def settle(pop: Population, nodes=None) -> None:
     Each edge not yet played this step draws this step's outcome from row
     ``mem`` of P^g, g being the steps since it was last played, and adds the
     round's payoffs to both endpoints. The draws go to the edges in id
-    order, or in CSR order for a single node. Settling one node that was
-    settled alone or by :func:`settle_around` earlier in the step returns at
-    once, which keeps the settles in :func:`set_strategy` and
-    :func:`reset_node` cheap. A no-op on the dense path, where
-    :func:`play_step` has already played every edge.
+    order. Settling one node that was settled, alone or with others or by
+    :func:`settle_around`, earlier in the step returns at once, which keeps
+    the settles in :func:`set_strategy` and :func:`reset_node` cheap. A
+    no-op on the dense path, where :func:`play_step` has already played
+    every edge.
     """
     od = pop._on_demand
     if od is None:
@@ -332,22 +330,17 @@ def settle(pop: Population, nodes=None) -> None:
         _settle_all(pop, od)
         return
     lag = pop.clock - od.full
+    if len(nodes) == 1 and od.marked[nodes[0]] == lag:
+        return
+    od.marked[np.asarray(nodes, dtype=np.intp)] = lag
     indptr, _, eid = pop.net.csr()
-    if len(nodes) == 1:
-        v = nodes[0]
-        if od.marked[v] == lag:
-            return
-        od.marked[v] = lag
-        e = eid[indptr[v] : indptr[v + 1]]
-        e = e[od.settled[e] < lag]
-    else:
-        # an edge between two of the nodes is listed twice; sorting pairs the
-        # copies up (np.unique would import numpy.ma, +0.7 MB resident)
-        e = _gather(eid, indptr, nodes)
-        e.sort()
-        keep = od.settled[e] < lag
-        keep[1:] &= e[1:] != e[:-1]
-        e = e[keep]
+    # an edge between two of the nodes is listed twice; sorting pairs the
+    # copies up (np.unique would import numpy.ma, +0.7 MB resident)
+    e = _gather(eid, indptr, nodes)
+    e.sort()
+    keep = od.settled[e] < lag
+    keep[1:] &= e[1:] != e[:-1]
+    e = e[keep]
     if len(e) == 0:
         return
     row = np.subtract(lag, od.settled[e], dtype=np.intp)
@@ -374,11 +367,8 @@ def settle_around(pop: Population, centres) -> None:
     if od is None:
         return
     indptr, nbr, _ = pop.net.csr()
-    nbrs = _gather(nbr, indptr, centres)
-    settle(pop, nbrs)
-    lag = pop.clock - od.full
-    od.marked[nbrs] = lag
-    od.marked[centres] = lag
+    settle(pop, _gather(nbr, indptr, centres))
+    od.marked[centres] = pop.clock - od.full
 
 
 # CSR rows of up to this many nodes are gathered one slice at a time, more in
@@ -431,3 +421,4 @@ def _settle_all(pop: Population, od: _OnDemand) -> None:
     od.settled[:] = 0
     od.marked[:] = 0
     od.full = pop.clock
+    od.paid.append(slice(None))

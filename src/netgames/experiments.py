@@ -119,10 +119,9 @@ class Scenario:
             raise ValueError(f"rho_tol={self.rho_tol} must be > 0")
         if self.rewire_max_steps < 1:
             raise ValueError(f"rewire_max_steps={self.rewire_max_steps} must be >= 1")
-        if not 0.0 < self.replacement_rate <= 1.0:
-            raise ValueError(f"replacement_rate={self.replacement_rate} outside (0, 1]")
+        MoranConfig(self.replacement_rate)  # checks replacement_rate
         if self.rho_targets and self.family != "ba":
-            raise ValueError("assortativity sweeps need the ba family")
+            raise ValueError(f"rho_targets needs the ba family, not {self.family!r}")
         try:
             self.matrix  # PayoffMatrix enforces t > r > p > s
         except ValueError as exc:
@@ -506,6 +505,8 @@ def run_scenario(s: Scenario, out_dir, parallelism: int = 1) -> SweepResult:
     Aggregate statistics are recomputed from the per-run CSV files after all
     workers finish, so the persisted files are the source of truth.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism={parallelism} must be >= 1")
     targets: tuple[float | None, ...] = s.rho_targets or (None,)
     files = write_networks(s, out_dir)
     out = Path(out_dir)

@@ -344,20 +344,11 @@ def rewire_to_assortativity(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeStats:
-    """Degree summary: mean and histogram rows (degree, count)."""
-
-    mean_degree: float
-    histogram: np.ndarray
-
-
-def degree_stats(g: Network) -> DegreeStats:
-    """Exact degree summary; histogram keeps only degrees that occur."""
+def degree_stats(g: Network) -> np.ndarray:
+    """Degree histogram rows (degree, count), for the degrees that occur."""
     counts = np.bincount(g.degrees)
     degs = np.nonzero(counts)[0]
-    hist = np.column_stack([degs, counts[degs]])
-    return DegreeStats(mean_degree=g.mean_degree, histogram=hist)
+    return np.column_stack([degs, counts[degs]])
 
 
 def hub_order(g: Network, seed: int) -> np.ndarray:
@@ -386,6 +377,9 @@ def fit_power_law(degrees, counts) -> tuple[float, float]:
         raise InvalidParameter("need at least two positive histogram bins")
     x = np.log(d[mask])
     y = np.log(c[mask])
+    for name, v in (("degree", x), ("count", y)):
+        if v.min() == v.max():
+            raise InvalidParameter(f"no spread in log {name}s: every bin has the same {name}")
     w = c[mask] / c[mask].sum()
     dx = x - w @ x
     dy = y - w @ y
@@ -432,7 +426,6 @@ def read_edgelist(path, n: int | None = None) -> Network:
 
 def write_degree_histogram(g: Network, path) -> None:
     """CSV with columns degree,count."""
-    stats = degree_stats(g)
-    rows = ["degree,count"] + [f"{int(d)},{int(c)}" for d, c in stats.histogram]
+    rows = ["degree,count"] + [f"{int(d)},{int(c)}" for d, c in degree_stats(g)]
     with _written_whole(path) as fh:
         fh.write("\n".join(rows) + "\n")

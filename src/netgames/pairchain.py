@@ -109,7 +109,9 @@ def limit_distribution(chain: PairChain, initial: np.ndarray | None = None) -> n
 
     Exact for reducible and periodic chains: transient mass is routed to each
     closed class by absorption probabilities, then spread with that class's
-    stationary vector.
+    stationary vector. A chain within float resolution of splitting into more
+    classes can make those solves singular or inexact; that raises ValueError
+    rather than return a vector that is not a distribution.
     """
     P = chain.matrix
     n = P.shape[0]
@@ -118,14 +120,19 @@ def limit_distribution(chain: PairChain, initial: np.ndarray | None = None) -> n
         raise ValueError("initial must be a probability vector over the four states")
     recurrent, transient = _recurrent_classes(P)
     weights = np.array([mu[c].sum() for c in recurrent])
-    if transient:
-        q = P[np.ix_(transient, transient)]
-        b = np.column_stack([P[transient][:, c].sum(axis=1) for c in recurrent])
-        h = np.linalg.solve(np.eye(len(transient)) - q, b)
-        weights = weights + mu[transient] @ h
     out = np.zeros(n)
-    for w, c in zip(weights, recurrent):
-        out[np.array(c)] = w * _class_stationary(P[np.ix_(c, c)])
+    try:
+        if transient:
+            q = P[np.ix_(transient, transient)]
+            b = np.column_stack([P[transient][:, c].sum(axis=1) for c in recurrent])
+            h = np.linalg.solve(np.eye(len(transient)) - q, b)
+            weights = weights + mu[transient] @ h
+        for w, c in zip(weights, recurrent):
+            out[np.array(c)] = w * _class_stationary(P[np.ix_(c, c)])
+    except np.linalg.LinAlgError:
+        out[:] = np.nan  # fails the check below
+    if not (abs(out.sum() - 1.0) <= 1e-9 and out.min() >= -1e-12):
+        raise ValueError("the chain is too close to decomposable for its solve")
     return out
 
 

@@ -336,6 +336,22 @@ class TestOnDemand:
             settle(pop, (0, 1, 2))
             assert pop.pay.tolist() == [6.0, 6.0, 9.0, 3.0]
 
+    def test_a_lone_settle_draws_like_a_settle_of_many(self):
+        # node 2 has lower and higher neighbours, and leaf 4 adds no edge of
+        # its own, so both settles play the same edges from the same stream
+        net = Network(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
+        after = []
+        for nodes in ((2,), (2, 4)):
+            pop = Population(net, (ZD, PAVLOV), np.array([0, 1, 0, 1, 1]))
+            pop.mem[:] = [0, 1, 2, 3, UNPLAYED]
+            rng = np.random.default_rng(35)
+            with on_demand(pop, M, rng):
+                for _ in range(3):
+                    tick(pop)
+                settle(pop, nodes)
+                after.append((pop.mem.tolist(), pop.pay.tolist(), rng.bit_generator.state))
+        assert after[0] == after[1]
+
     @given(connected_graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40)
     def test_marked_nodes_have_every_edge_settled(self, net, seed):

@@ -158,6 +158,14 @@ _BAD_VALUES = [
     ("strategy_b", "bogus"),
     ("base_seed", -1),
     ("payoff_t", 1.0),
+    ("family", "lattice"),
+    ("init", "bogus"),
+    ("hub_strategy", "c"),
+    ("fraction_a", -0.1),
+    ("fraction_a", 1.5),
+    ("replicates", 0),
+    ("steps", 0),
+    ("rho_targets", (0.1,)),  # tiny_scenario is a regular graph
 ]
 
 
@@ -170,7 +178,7 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("field,value", _BAD_VALUES)
     def test_rejected_on_load(self, field, value):
         mapping = scenario_to_mapping(tiny_scenario())
-        mapping[field] = str(value)
+        mapping[field] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         with pytest.raises(ValueError, match=field):
             scenario_from_mapping(mapping)
 
@@ -254,6 +262,18 @@ class TestRunScenario:
         with open(tmp_path / "seeds" / "aggregate.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["seed"]) for r in rows] == [1234, 1235, 1236]
+
+    def test_parallelism_below_one_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="parallelism"):
+            run_scenario(tiny_scenario(), out_dir=tmp_path / "p", parallelism=-3)
+        assert not (tmp_path / "p").exists()
+
+    def test_complete_family_runs_well_mixed(self, tmp_path):
+        s = tiny_scenario(family="complete", n=12, process="moran", replacement_rate=0.1)
+        result = run_scenario(s, out_dir=tmp_path / "complete")
+        assert result.records[0].mean_degree == 11.0
+        assert (tmp_path / "complete" / "network.edges").read_text().count("\n") == 66
+        assert load_config(tmp_path / "complete" / "meta.txt") == s
 
     def test_hub_init_class_degrees_recorded(self, tmp_path):
         s = tiny_scenario(family="ba", ba_m=1, n=30, init="hubs", fraction_a=0.6)
@@ -390,6 +410,31 @@ class TestCLI:
         assert (tmp_path / "cli" / "aggregate.csv").exists()
         assert "final fraction" in capsys.readouterr().out
 
+    def test_run_sweep_prints_groups_and_correlation(self, tmp_path, capsys):
+        code = main([
+            "run", "fig7_assortativity_sweep", "--out", str(tmp_path / "sweep"),
+            "--set", "n=60", "--set", "rho_targets=-0.2,0.0", "--set", "rho_tol=0.06",
+            "--set", "rewire_max_steps=50000", "--set", "replicates=2",
+            "--set", "steps=150", "--set", "sample_every=50",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        groups = [line for line in out if line.startswith("  group ")]
+        assert len(groups) == 2
+        assert groups[0].startswith("  group 0: target_rho -0.200 achieved ")
+        assert groups[1].startswith("  group 1: target_rho +0.000 achieved ")
+        assert out[-1].startswith("pearson(rho, final fraction) = ")
+        meta = (tmp_path / "sweep" / "meta.txt").read_text()
+        r = float(meta.split("result.correlation_rho_vs_final = ")[1].split()[0])
+        assert out[-1] == f"pearson(rho, final fraction) = {r:.4f}"
+
+    def test_set_without_equals_fails_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "fig3_wellmixed_adoption", "--out", str(out), "--set", "steps"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--set expects key=value, got 'steps'" in err
+        assert not out.exists()
+
     def test_run_config_file(self, tmp_path):
         cfg = tmp_path / "my.cfg"
         lines = [f"{k} = {v}" for k, v in scenario_to_mapping(tiny_scenario()).items()]
@@ -401,16 +446,15 @@ class TestCLI:
         assert main(["run", "not_a_preset", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target,overrides", [
-        ("fig1_wellmixed_moran", ["n=5", "degree=3"]),  # odd stub count
-        ("fig2_sf_moran", ["n=1"]),  # BA needs m < n
-        ("fig1_wellmixed_moran", ["n=30", "payoff_t=1"]),  # breaks t > r > p > s
-    ], ids=["regular", "ba", "payoff"])
-    def test_bad_network_parameter_leaves_no_output(self, tmp_path, capsys, target, overrides):
+    @pytest.mark.parametrize("target,options", [
+        ("fig1_wellmixed_moran", ["--set", "n=5", "--set", "degree=3"]),  # odd stub count
+        ("fig2_sf_moran", ["--set", "n=1"]),  # BA needs m < n
+        ("fig1_wellmixed_moran", ["--set", "n=30", "--set", "payoff_t=1"]),  # breaks t > r > p > s
+        ("fig1_wellmixed_moran", ["--set", "n=30", "--parallel", "0"]),
+    ], ids=["regular", "ba", "payoff", "parallel"])
+    def test_bad_network_parameter_leaves_no_output(self, tmp_path, capsys, target, options):
         out = tmp_path / "out"
-        argv = ["run", target, "--out", str(out)]
-        for item in overrides:
-            argv += ["--set", item]
+        argv = ["run", target, "--out", str(out), *options]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -485,3 +529,25 @@ class TestCLI:
         data.write_text("x,y\n0,2\n1,1\n2,0\n")
         assert main(["correlate", str(data)]) == 0
         assert "pearson_r = -1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,line", [
+        ("x,y\n0.1,0.2\n0.3\n0.5,0.9\n", 3),  # one column
+        ("x,y\n0.1,0.2\n0.3,abc\n0.5,0.9\n0.7,0.1\n", 3),  # not a number
+        ("# points\n0.1,0.2\nx,y\n0.5,0.9\n", 3),  # a header after the data
+    ], ids=["short", "unparsable", "late_header"])
+    def test_correlate_rejects_a_bad_row_by_line(self, tmp_path, capsys, text, line):
+        data = tmp_path / "pts.csv"
+        data.write_text(text)
+        assert main(["correlate", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: ") and captured.err.count("\n") == 1
+        assert f"line {line}:" in captured.err
+
+    def test_measure_fit_on_a_flat_histogram_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "path.edges"
+        path.write_text("0 1\n1 2\n2 3\n")
+        assert main(["measure", str(path), "--fit"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameter: ") and err.count("\n") == 1
+        assert "no spread in log counts" in err

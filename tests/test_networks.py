@@ -159,7 +159,7 @@ class TestPowerLawFit:
 
     def test_ba_exponent_in_expected_band(self):
         g = barabasi_albert(10_000, 2, seed=11)
-        hist = degree_stats(g).histogram
+        hist = degree_stats(g)
         gamma, r = fit_power_law(hist[:, 0], hist[:, 1])
         assert 2.0 <= gamma <= 3.5
         assert r < -0.9
@@ -167,6 +167,15 @@ class TestPowerLawFit:
     def test_needs_two_bins(self):
         with pytest.raises(InvalidParameter):
             fit_power_law([3], [10])
+
+    def test_flat_histogram_rejected(self):
+        # the path 0-1-2-3: degrees 1 and 2, two nodes each
+        hist = degree_stats(Network(4, [(0, 1), (1, 2), (2, 3)]))
+        assert hist.tolist() == [[1, 2], [2, 2]]
+        with pytest.raises(InvalidParameter, match="log counts"):
+            fit_power_law(hist[:, 0], hist[:, 1])
+        with pytest.raises(InvalidParameter, match="log degrees"):
+            fit_power_law([3, 3], [1, 2])
 
 
 class TestAssortativity:
@@ -294,17 +303,16 @@ class TestReaches:
 
 class TestDegreeStats:
     def test_complete_graph(self):
-        stats = degree_stats(complete_graph(4))
-        assert stats.mean_degree == 3.0
-        assert stats.histogram.tolist() == [[3, 4]]
+        g = complete_graph(4)
+        assert g.mean_degree == 3.0
+        assert degree_stats(g).tolist() == [[3, 4]]
 
     def test_regular_histogram(self):
-        stats = degree_stats(regular_random(100, 8, seed=12))
-        assert stats.histogram.tolist() == [[8, 100]]
+        assert degree_stats(regular_random(100, 8, seed=12)).tolist() == [[8, 100]]
 
     def test_mean_degree_handshake(self):
         g = barabasi_albert(500, 1, seed=13)
-        assert degree_stats(g).mean_degree == pytest.approx(2 * g.num_edges / g.n)
+        assert g.mean_degree == pytest.approx(2 * g.num_edges / g.n)
 
     def test_hub_order_prefers_high_degree(self):
         g = star(6)

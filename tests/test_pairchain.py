@@ -86,6 +86,20 @@ class TestLimitDistribution:
         )
         assert np.allclose(occ, [0.5, 0.0, 0.5, 0.0], atol=1e-12)
 
+    @pytest.mark.parametrize("a,b", [
+        # the transient solve is singular in floats
+        ((0.0, 0.0, 0.0, 1e-300), (0.0, 1.0, 1.0, 0.0)),
+        # the solves succeed but the occupancy sums to 0.99981
+        ((1.0, 0.5581697323222211, 1e-12, 3e-16),
+         (1.0, 0.24553852625628458, 1e-17, 0.6770375078933076)),
+    ], ids=["singular", "not_a_distribution"])
+    def test_near_decomposable_chain_fails_loudly(self, a, b):
+        a, b = MemoryOneStrategy(*a), MemoryOneStrategy(*b)
+        with pytest.raises(ValueError, match="too close to decomposable"):
+            limit_distribution(build_chain(a, b))
+        with pytest.raises(ValueError, match="too close to decomposable"):
+            expected_payoffs(a, b, M)
+
 
 class TestExpectedPayoffs:
     def test_zd_vs_pavlov_exact(self):
