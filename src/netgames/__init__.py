@@ -45,8 +45,6 @@ from .networks import (
 )
 from .pairchain import (
     ExpectedPayoffPair,
-    PairChain,
-    build_chain,
     expected_payoffs,
     limit_distribution,
     monte_carlo_payoffs,

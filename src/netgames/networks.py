@@ -11,6 +11,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -185,41 +186,40 @@ def barabasi_albert(n: int, m: int, seed: int) -> Network:
     return Network(n, edges)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DegreeMixing:
-    """Remaining-degree mixing statistics of an undirected graph."""
+    """Remaining-degree mixing of an undirected graph."""
 
-    q: np.ndarray  # excess-degree distribution, indexed by remaining degree
-    e_jk: np.ndarray  # joint remaining-degree distribution at link ends (symmetric)
-    sigma_q: float
     rho: float
 
 
-def assortativity(g: Network) -> DegreeMixing:
-    """Degree-mixing structure and the assortativity coefficient.
+def _mixing(g: Network) -> tuple[int, Callable[[int], float]]:
+    """S = sum over edges of (k_u - 1)(k_v - 1), and rho as a function of S.
 
-    rho = (sum_jk jk (e_jk - q_j q_k)) / sigma_q^2 over remaining degrees;
-    returns rho = 0 for regular graphs, where sigma_q = 0.
+    rho = (S/|E| - mu^2) / sigma^2, with mu and sigma^2 the mean and variance
+    of the remaining degree k - 1 over the 2|E| edge ends; it is 0 for regular
+    graphs, where sigma = 0. Degree-preserving swaps change only S, an exact
+    integer, so a walk that updates S gets the rho of its graph bit for bit.
     """
+    k = g.degrees.astype(np.int64)
+    ends = 2 * g.num_edges
+    mu = int(k @ (k - 1)) / ends
+    var = int(k @ (k - 1) ** 2) / ends - mu * mu
+    rem = k - 1
+    s = int(rem[g.edges[:, 0]] @ rem[g.edges[:, 1]])
+
+    def rho(s: int) -> float:
+        return 0.0 if var <= 0.0 else (s / g.num_edges - mu * mu) / var
+
+    return s, rho
+
+
+def assortativity(g: Network) -> DegreeMixing:
+    """Degree assortativity rho over remaining degrees (see ``_mixing``)."""
     if g.num_edges == 0:
         raise EmptyGraph("assortativity needs at least one edge")
-    rem = g.degrees - 1
-    ru = rem[g.edges[:, 0]]
-    rv = rem[g.edges[:, 1]]
-    maxr = int(max(ru.max(), rv.max()))
-    e = np.zeros((maxr + 1, maxr + 1))
-    np.add.at(e, (ru, rv), 1.0)
-    np.add.at(e, (rv, ru), 1.0)
-    e /= 2.0 * g.num_edges
-    q = e.sum(axis=1)
-    js = np.arange(maxr + 1, dtype=float)
-    mu = js @ q
-    var = (js * js) @ q - mu * mu
-    if var <= 0.0:
-        rho = 0.0
-    else:
-        rho = float((js @ e @ js - mu * mu) / var)
-    return DegreeMixing(q=q, e_jk=e, sigma_q=float(np.sqrt(max(var, 0.0))), rho=rho)
+    s, rho = _mixing(g)
+    return DegreeMixing(rho=rho(s))
 
 
 def _relink(adj: list[set[int]], drop, add) -> None:
@@ -259,11 +259,8 @@ def rewire_to_assortativity(
     if not g.is_connected():
         raise InvalidParameter("rewiring needs a connected graph")
     num_e = g.num_edges
-    rem = (g.degrees - 1).astype(float)
-    ends = np.concatenate([rem[g.edges[:, 0]], rem[g.edges[:, 1]]])
-    mu = float(ends.mean())
-    var = float((ends * ends).mean() - mu * mu)
-    if var <= 0.0:
+    s_sum, rho_of = _mixing(g)
+    if np.all(g.degrees == g.degrees[0]):
         # regular degree sequence: rho is 0 by convention and swaps cannot move it
         if abs(0.0 - target_rho) <= tol:
             return g, 0.0
@@ -273,12 +270,8 @@ def rewire_to_assortativity(
             achieved_rho=0.0,
         )
 
+    rem = (g.degrees - 1).tolist()
     edges = [(int(u), int(v)) for u, v in g.edges]
-    s_sum = float(sum(rem[u] * rem[v] for u, v in edges))
-
-    def rho_of(s: float) -> float:
-        return (s / num_e - mu * mu) / var
-
     cur = rho_of(s_sum)
     if abs(cur - target_rho) <= tol:
         return g, cur
@@ -333,7 +326,6 @@ def rewire_to_assortativity(
         s_sum = s_sum - old + best[2]
         cur = rho_of(s_sum)
 
-    cur = float(cur)
     result = Network(g.n, edges)
     if abs(cur - target_rho) <= 2.0 * tol:
         return result, cur
@@ -411,12 +403,14 @@ def write_edgelist(g: Network, path) -> None:
 def read_edgelist(path, n: int | None = None) -> Network:
     """Inverse of :func:`write_edgelist`; n defaults to max index + 1."""
     edges = []
-    for line in Path(path).read_text().splitlines():
+    for num, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+        pair = line.split()
+        if len(pair) != 2 or not all(t.isdecimal() for t in pair):
+            raise ValueError(f"{path} line {num}: need two non-negative node indices, got {line!r}")
+        edges.append((int(pair[0]), int(pair[1])))
     if not edges and n is None:
         raise EmptyGraph(f"no edges in {path}")
     if n is None:

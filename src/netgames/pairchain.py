@@ -1,37 +1,28 @@
 """Long-run expected payoffs for ordered pairs of memory-one strategies.
 
 Two memory-one strategies playing each other form a Markov chain over the four
-joint outcomes (CC, CD, DC, DD from the first player's perspective). The
-long-run per-round payoff is the time-average occupancy of that chain dotted
-with the per-state payoffs. Deterministic strategies can make the chain
-reducible or periodic, so the occupancy is computed as the Cesaro limit from
-the uniform distribution over the four states, which matches a first round of
-unconditioned fair coin flips in the simulation engine.
+joint outcomes (CC, CD, DC, DD from the first player's perspective):
+``pair_transition(a, b)[:4, :4]``. The long-run per-round payoff is the
+time-average occupancy of that chain dotted with the per-state payoffs.
+Deterministic strategies can make the chain reducible or periodic, so the
+occupancy is computed as the Cesaro limit from the uniform distribution over
+the four states, which matches a first round of unconditioned fair coin flips
+in the simulation engine.
+
+The occupancy comes from Grassmann-Taksar-Heyman state elimination (Oper. Res.
+33, 1107, 1985) in exact rational arithmetic on the float entries. It reads only
+off-diagonal entries and never subtracts, so transitions of 1e-300 next to
+1 - 1e-17 still decide the limit, and every valid pair has an answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .strategies import PERSPECTIVE_SWAP, MemoryOneStrategy, PayoffMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class PairChain:
-    """4x4 row-stochastic transition matrix over joint outcomes."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise ValueError("transition entries must lie in [0, 1]")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("transition rows must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -57,11 +48,6 @@ def pair_transition(a: MemoryOneStrategy, b: MemoryOneStrategy) -> np.ndarray:
     m[:, 2] = (1.0 - pa) * pb
     m[:, 3] = (1.0 - pa) * (1.0 - pb)
     return m
-
-
-def build_chain(a: MemoryOneStrategy, b: MemoryOneStrategy) -> PairChain:
-    """Transition matrix for A playing B, rows and columns in A's perspective."""
-    return PairChain(pair_transition(a, b)[:4, :4].copy())
 
 
 def _recurrent_classes(P: np.ndarray) -> tuple[list[list[int]], list[int]]:
@@ -93,46 +79,58 @@ def _recurrent_classes(P: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return recurrent, sorted(transient)
 
 
-def _class_stationary(Pc: np.ndarray) -> np.ndarray:
-    k = Pc.shape[0]
-    if k == 1:
-        return np.ones(1)
-    a = Pc.T - np.eye(k)
-    a[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
+def _censor(F: list[list[Fraction]], order: list[int], kept: list[int]) -> list[Fraction]:
+    """Eliminate the states in ``order`` one at a time, keeping ``kept`` (GTH).
 
-
-def limit_distribution(chain: PairChain, initial: np.ndarray | None = None) -> np.ndarray:
-    """Time-average state occupancy, starting from ``initial`` (default uniform).
-
-    Exact for reducible and periodic chains: transient mass is routed to each
-    closed class by absorption probabilities, then spread with that class's
-    stationary vector. A chain within float resolution of splitting into more
-    classes can make those solves singular or inexact; that raises ValueError
-    rather than return a vector that is not a distribution.
+    Each elimination of k folds the paths through k into the rows of the
+    states still live, so ``F`` ends as the chain censored to ``kept``; row
+    k keeps its entries to the states live when it went, and column k the
+    entries from them. Returns each eliminated state's exit mass s_k, the
+    sum of its off-diagonal entries to those states. Diagonals are never read.
     """
-    P = chain.matrix
-    n = P.shape[0]
-    mu = np.full(n, 1.0 / n) if initial is None else np.asarray(initial, dtype=float)
-    if mu.shape != (n,) or np.any(mu < 0.0) or abs(mu.sum() - 1.0) > 1e-9:
-        raise ValueError("initial must be a probability vector over the four states")
+    live = [*kept, *order]
+    exits = []
+    for k in order:
+        live.remove(k)
+        s = sum(F[k][j] for j in live)
+        exits.append(s)
+        for i in live:
+            if F[i][k]:
+                f = F[i][k] / s
+                for j in live:
+                    F[i][j] += f * F[k][j]
+    return exits
+
+
+def limit_distribution(P: np.ndarray) -> np.ndarray:
+    """Time-average state occupancy of the 4x4 chain ``P``, from the uniform start.
+
+    ``P`` is ``pair_transition(a, b)[:4, :4]``; any other shape raises
+    ValueError. The elimination is exact on the float entries, and each
+    occupancy is rounded once, so there is no failure path for a valid pair.
+    Transient states are censored first, their initial mass carried into the
+    closed classes; each closed class is then censored to one state and its
+    stationary vector back-substituted, scaled by the mass the class holds.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 transition matrix, got shape {P.shape}")
     recurrent, transient = _recurrent_classes(P)
-    weights = np.array([mu[c].sum() for c in recurrent])
-    out = np.zeros(n)
-    try:
-        if transient:
-            q = P[np.ix_(transient, transient)]
-            b = np.column_stack([P[transient][:, c].sum(axis=1) for c in recurrent])
-            h = np.linalg.solve(np.eye(len(transient)) - q, b)
-            weights = weights + mu[transient] @ h
-        for w, c in zip(weights, recurrent):
-            out[np.array(c)] = w * _class_stationary(P[np.ix_(c, c)])
-    except np.linalg.LinAlgError:
-        out[:] = np.nan  # fails the check below
-    if not (abs(out.sum() - 1.0) <= 1e-9 and out.min() >= -1e-12):
-        raise ValueError("the chain is too close to decomposable for its solve")
+    # row 4 holds the start mass, like pair_transition's unplayed state: no
+    # row leads to it, so it is never eliminated and gathers the absorbed mass
+    F = [[Fraction(x) for x in row] + [Fraction(0)] for row in P.tolist()]
+    F.append([Fraction(1, 4)] * 4 + [Fraction(0)])
+    _censor(F, transient, [4, *(i for c in recurrent for i in c)])
+    out = np.zeros(4)
+    for c in recurrent:
+        order = c[:0:-1]
+        exits = _censor(F, order, c[:1])
+        pi = {c[0]: Fraction(1)}
+        for k, s in zip(reversed(order), reversed(exits)):
+            pi[k] = sum(pi[i] * F[i][k] for i in pi) / s
+        scale = sum(F[4][i] for i in c) / sum(pi.values())
+        for i, w in pi.items():
+            out[i] = float(w * scale)
     return out
 
 
@@ -140,7 +138,7 @@ def expected_payoffs(
     a: MemoryOneStrategy, b: MemoryOneStrategy, m: PayoffMatrix
 ) -> ExpectedPayoffPair:
     """Analytic long-run mean per-round payoffs for the ordered pair (A, B)."""
-    occ = limit_distribution(build_chain(a, b))
+    occ = limit_distribution(pair_transition(a, b)[:4, :4])
     pay_a, pay_b = m.outcome_payoffs
     return ExpectedPayoffPair(float(occ @ pay_a), float(occ @ pay_b))
 

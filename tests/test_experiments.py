@@ -471,14 +471,19 @@ class TestCLI:
 
     def test_netgen_with_rho_target(self, tmp_path, capsys):
         out = tmp_path / "nets"
-        assert main(["netgen", "fig7_assortativity_sweep", "--set", "n=150",
-                     "--set", "rho_targets=-0.2", "--out", str(out)]) == 0
-        line = capsys.readouterr().out
-        rho = float(line.split("rho=")[1])
-        assert abs(rho - -0.2) <= 2 * preset("fig7_assortativity_sweep").rho_tol
-        assert main(["measure", str(out / "network_00.edges")]) == 0
-        measured = capsys.readouterr().out.split("rho = ")[1]
-        assert float(measured) == pytest.approx(rho, abs=1e-9)
+        sweep = ["fig7_assortativity_sweep", "--set", "n=150", "--set", "rho_targets=-0.2,0.0"]
+        assert main(["netgen", *sweep, "--out", str(out)]) == 0
+        printed = [float(line.split("rho=")[1]) for line in capsys.readouterr().out.splitlines()]
+        assert abs(printed[0] - -0.2) <= 2 * preset("fig7_assortativity_sweep").rho_tol
+        assert main(["run", *sweep, "--set", "replicates=1", "--set", "steps=10",
+                     "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "aggregate.csv", newline="") as fh:
+            recorded = [float(row["achieved_rho"]) for row in csv.DictReader(fh)]
+        capsys.readouterr()
+        for group, rho in enumerate(printed):
+            assert main(["measure", str(out / f"network_{group:02d}.edges")]) == 0
+            measured = capsys.readouterr().out.split("rho = ")[1]
+            assert float(measured) == rho == recorded[group]
 
     def test_netgen_infeasible_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "nets"
@@ -505,6 +510,9 @@ class TestCLI:
         for line, file, row in zip(printed, written, rows):
             assert line.startswith(f"wrote {tmp_path / 'gen' / file}: n={s.n} ")
             assert line.endswith(f" rho={row['achieved_rho']}")
+            # measure reads the rho the rewiring walk reported, bit for bit
+            assert main(["measure", str(tmp_path / "gen" / file)]) == 0
+            assert f"rho = {row['achieved_rho']}\n" in capsys.readouterr().out
 
     def test_netgen_removes_network_files_it_does_not_rewrite(self, tmp_path):
         out = tmp_path / "nets"
@@ -543,6 +551,20 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("error: ValueError: ") and captured.err.count("\n") == 1
         assert f"line {line}:" in captured.err
+
+    @pytest.mark.parametrize("text,line", [
+        ("0 1\n1 2 3\n", 2),  # three tokens
+        ("# net\n0 1\n\n1 x\n", 4),  # not an integer
+        ("0 1\n1 -2\n", 2),  # negative index
+    ], ids=["tokens", "non_integer", "negative"])
+    def test_measure_rejects_a_bad_edge_line_by_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        assert main(["measure", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: ") and captured.err.count("\n") == 1
+        assert f"{path} line {line}: " in captured.err
 
     def test_measure_fit_on_a_flat_histogram_fails_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "path.edges"
