@@ -16,6 +16,7 @@ from .evolution import (
     adoption_probability,
     moran_event,
     run,
+    run_replicates,
 )
 from .experiments import (
     PRESET_NAMES,

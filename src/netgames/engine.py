@@ -10,7 +10,10 @@ endpoint's perspective.
 
 The round reuses work buffers kept on the Network, so it allocates nothing
 |E|-sized per call; populations sharing a network must therefore not play
-their rounds concurrently.
+their rounds concurrently. A :class:`Lockstep` plays the rounds of several
+populations as one round on the disjoint union of their networks, in work
+buffers of its own; each member draws from its own stream, in the order its
+own round would, so every member ends bit-equal to a round of its own.
 
 Between strategy changes and resets each edge's memory is a Markov chain,
 ``pairchain.pair_transition`` of its endpoints' strategies. The on-demand
@@ -99,20 +102,23 @@ def _edge_arrays(net: Network) -> tuple:
     The endpoint columns, whether each CSR entry's node is its edge's lower
     endpoint, and the round's |E|-sized work buffers.
     """
-    e = net.num_edges
     indptr, nbr, _ = net.csr()
     owner = np.repeat(np.arange(net.n, dtype=np.int32), np.diff(indptr))
-    buffers = (
-        np.empty(2 * e),  # uniform draws: all u sides, then all v sides
-        np.empty(e),  # probabilities, then payoffs, of one side
-        np.empty(2 * e, dtype=bool),  # cooperate? u sides, then v sides
-        np.empty(e, dtype=np.intp),  # table index, then outcome
-    )
     return (
         np.ascontiguousarray(net.edges[:, 0]),
         np.ascontiguousarray(net.edges[:, 1]),
         owner < nbr,
-        buffers,
+        _round_buffers(net.num_edges),
+    )
+
+
+def _round_buffers(e: int) -> tuple:
+    """The |E|-sized work buffers of a round over e edges."""
+    return (
+        np.empty(2 * e),  # uniform draws: all u sides, then all v sides
+        np.empty(e),  # probabilities, then payoffs, of one side
+        np.empty(2 * e, dtype=bool),  # cooperate? u sides, then v sides
+        np.empty(e, dtype=np.intp),  # table index, then outcome
     )
 
 
@@ -168,12 +174,13 @@ def class_mean_degrees(pop: Population) -> list[float]:
     return out
 
 
-def play_step(pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> None:
+def play_step(pop: Population | Lockstep, m: PayoffMatrix, rng) -> None:
     """Play one round on every edge, in place.
 
     Draw order is fixed (all lower-endpoint draws, then all higher-endpoint
     draws, in sorted edge order) so runs are bit-reproducible for a seed.
-    Every |E|-sized intermediate lives in the network's reused buffers.
+    Every |E|-sized intermediate lives in reused buffers: the network's, or
+    a :class:`Lockstep`'s own. A lockstep is passed as its own ``rng``.
     """
     mem = pop.mem
     num_e = len(mem)
@@ -181,10 +188,11 @@ def play_step(pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> Non
     coop_u, coop_v = coop[:num_e], coop[num_e:]
     np.add(pop._code, mem, out=idx)
     rng.random(out=draws)
-    # mode="clip" lets take write straight into out; the indices are in range
-    np.take(pop._coop_u, idx, out=prob, mode="clip")
+    # mode="clip" lets take write straight into out; the indices are in range.
+    # The array method gives np.take's numbers without its Python wrapper
+    pop._coop_u.take(idx, out=prob, mode="clip")
     np.less(draws[:num_e], prob, out=coop_u)
-    np.take(pop._coop_v, idx, out=prob, mode="clip")
+    pop._coop_v.take(idx, out=prob, mode="clip")
     np.less(draws[num_e:], prob, out=coop_v)
     # 0..3 outcome from the lower endpoint's perspective: 3 - 2 c_u - c_v
     cu, cv = coop_u.view(np.int8), coop_v.view(np.int8)
@@ -193,10 +201,95 @@ def play_step(pop: Population, m: PayoffMatrix, rng: np.random.Generator) -> Non
     np.subtract(3, mem, out=mem)
     np.copyto(idx, mem)
     pay_u, pay_v = m.outcome_payoffs
-    np.take(pay_u, idx, out=prob, mode="clip")
+    pay_u.take(idx, out=prob, mode="clip")
     pop.pay += np.bincount(pop._eu, weights=prob, minlength=pop.n)
-    np.take(pay_v, idx, out=prob, mode="clip")
+    pay_v.take(idx, out=prob, mode="clip")
     pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
+
+
+class Lockstep:
+    """Dense populations' rounds played as one, on the disjoint union of their networks.
+
+    Pass it to :func:`play_step` as both the population and the stream to
+    play every member's round in one call. Each member's nodes and edges
+    follow those of the members before it, so its edges keep their order
+    and the round adds each node's payoffs in the order a round of the
+    member alone does. :meth:`random` fills each member's lower-endpoint
+    draws, then its higher-endpoint draws, from that member's own stream; on
+    PCG64 the two give the numbers of the one draw of 2|E| a round of the
+    member alone makes. So each member's ``mem`` and ``pay`` end bit-equal to
+    those of its own :func:`play_step` from the same stream state.
+
+    While a population is a member, its ``pay``, ``mem`` and pair codes are
+    views into the lockstep's arrays. Its network, ``strat``, ``counts`` and
+    stream stay its own, so evolution events and samples run on the member
+    unchanged. The arrays and the round's work buffers are sized for the
+    first members; :meth:`keep` lays fewer out again in their front parts.
+    """
+
+    def __init__(self, members) -> None:
+        """``members``: (population, generator) pairs sharing one strategy table."""
+        members = list(members)
+        first = members[0][0]
+        if any(pop.strategies != first.strategies for pop, _ in members):
+            raise ValueError("lockstep members must share one strategy table")
+        n = sum(pop.n for pop, _ in members)
+        e = sum(pop.net.num_edges for pop, _ in members)
+        self._coop_u, self._coop_v = first._coop_u, first._coop_v
+        self._space = (
+            np.empty(n),  # payoffs
+            np.empty(e, dtype=np.int8),  # memories
+            np.empty(e, dtype=np.int16),  # pair codes
+            np.empty(e, dtype=np.int64),  # lower endpoints
+            np.empty(e, dtype=np.int64),  # higher endpoints
+            *_round_buffers(e),
+        )
+        self._pops: list[Population] = []
+        self.keep(members)
+
+    @property
+    def net(self) -> Network:
+        """The disjoint union of the members' networks, built when first read."""
+        if self._net is None:
+            self._net = Network(self.n, np.column_stack((self._eu, self._ev)))
+        return self._net
+
+    def keep(self, members) -> None:
+        """Lay out ``members``, some of the current ones in their order, again.
+
+        A population left out gets its own copies of its arrays back.
+        """
+        members = list(members)
+        kept = {id(pop) for pop, _ in members}
+        for pop in self._pops:
+            if id(pop) not in kept:
+                pop.pay, pop.mem, pop._code = pop.pay.copy(), pop.mem.copy(), pop._code.copy()
+        pay, mem, code, eu, ev, draws, prob, coop, idx = self._space
+        n = e = 0
+        self._slices = []
+        for pop, rng in members:
+            hi_n, hi_e = n + pop.n, e + pop.net.num_edges
+            # a member only ever moves to the front, so it never lands on a
+            # later one before that one has moved
+            pay[n:hi_n] = pop.pay
+            mem[e:hi_e] = pop.mem
+            code[e:hi_e] = pop._code
+            pop.pay, pop.mem, pop._code = pay[n:hi_n], mem[e:hi_e], code[e:hi_e]
+            np.add(pop._eu, n, out=eu[e:hi_e])
+            np.add(pop._ev, n, out=ev[e:hi_e])
+            self._slices.append((rng, e, hi_e))
+            n, e = hi_n, hi_e
+        self._pops, self.n, self._net = [pop for pop, _ in members], n, None
+        self.pay, self.mem, self._code = pay[:n], mem[:e], code[:e]
+        self._eu, self._ev = eu[:e], ev[:e]
+        self._buffers = (draws[: 2 * e], prob[:e], coop[: 2 * e], idx[:e])
+
+    def random(self, out: np.ndarray) -> None:
+        """Fill ``out``, the round's draws, from each member's own stream."""
+        e = len(out) // 2
+        for rng, lo, hi in self._slices:
+            rng.random(out=out[lo:hi])
+            rng.random(out=out[e + lo : e + hi])
 
 
 def reset_node(pop: Population, node: int) -> None:
@@ -408,14 +501,14 @@ def _settle_all(pop: Population, od: _OnDemand) -> None:
     od.rng.random(out=u)
     mem[:] = 0
     for cum in od.jump:
-        np.take(cum, idx, out=prob, mode="clip")
+        cum.take(idx, out=prob, mode="clip")
         np.less_equal(prob, u, out=below)
         np.add(mem, below.view(np.int8), out=mem)
     np.copyto(idx, mem)
-    np.take(od.pay_u, idx, out=prob, mode="clip")
+    od.pay_u.take(idx, out=prob, mode="clip")
     prob[played] = 0.0
     pop.pay += np.bincount(pop._eu, weights=prob, minlength=pop.n)
-    np.take(od.pay_v, idx, out=prob, mode="clip")
+    od.pay_v.take(idx, out=prob, mode="clip")
     prob[played] = 0.0
     pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
     od.settled[:] = 0

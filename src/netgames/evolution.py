@@ -16,11 +16,17 @@ lived nodes unbeatable regardless of how their strategy is doing, which
 freezes both processes short of the extinction outcomes they should reach;
 see the run() loop, which clears payoffs before each step's round of play.
 
-run() plays the rounds one of two ways, chosen by input size (see
-:func:`uses_on_demand`). The dense path plays every edge every step with
-``engine.play_step``. The on-demand path plays an edge only when an event, a
-sample or a strategy change reads it (``engine.on_demand``), and settles
-once per step: an adoption event settles its two nodes, and run() draws a
+run() is :func:`run_replicates` of one population, and run_replicates()
+advances several in lockstep: each step it plays every live replicate's
+round, then runs each replicate's events from that replicate's own stream,
+so a replicate's record is bit-identical to a run() of it alone. Rounds are
+played one of two ways, chosen by input size (see :func:`uses_on_demand`).
+The dense path plays every edge every step with ``engine.play_step``: one
+call for all live replicates, on their ``engine.Lockstep``, which is laid
+out again without a replicate once it is extinct. The on-demand path, which
+takes one replicate, plays an edge only when an event, a sample or a
+strategy change reads it (``engine.on_demand``), and settles once per
+step: an adoption event settles its two nodes, and run() draws a
 death-birth step's deaths first and settles every edge they read in one
 ``engine.settle_around`` before the events run in draw order. On BA(20000,
 2) at replacement rate 0.001 (20 deaths) that step costs ~0.5 ms instead of
@@ -42,6 +48,7 @@ import numpy as np
 
 from .engine import (
     IsolatedNode,
+    Lockstep,
     Population,
     _round_half_up,
     class_mean_degrees,
@@ -263,17 +270,75 @@ def run(
     padded with the absorbing fractions (payoff columns are padded with nan,
     since they are no longer simulated).
     ``focal_index`` says which strategy-table entry is reported as "a".
+    This is :func:`run_replicates` of one population.
     """
+    return run_replicates(
+        [pop], process, steps, m, cfg, [seed], [run_id], sample_every, focal_index
+    )[0]
+
+
+class _Replicate:
+    """One population's stream, samples and extinction step in the run loop."""
+
+    def __init__(self, pop: Population, seed: int, events: int, k_samples: int) -> None:
+        self.pop = pop
+        self.rng = np.random.default_rng(seed)
+        self.events = events  # death-birth events per step
+        # fraction a, fraction b, mean payoff a, mean payoff b per sample
+        self.samples = np.empty((4, k_samples))
+        self.class_mean_degrees = class_mean_degrees(pop)
+        self.extinct_at: int | None = None
+
+    def record(self, k: int, focal_index: int) -> None:
+        pop = self.pop
+        settle(pop)
+        n = pop.n
+        ca = int(pop.counts[focal_index])
+        cb = n - ca
+        mask = pop.strat == focal_index
+        self.samples[:, k] = (
+            ca / n,
+            cb / n,
+            pop.pay[mask].mean() if ca else float("nan"),
+            pop.pay[~mask].mean() if cb else float("nan"),
+        )
+
+
+def run_replicates(
+    pops,
+    process: str,
+    steps: int,
+    m: PayoffMatrix,
+    cfg: MoranConfig | AdoptionConfig,
+    seeds,
+    run_ids,
+    sample_every: int = 100,
+    focal_index: int = 0,
+) -> list[RunRecord]:
+    """:func:`run` of each population, all advanced together step by step.
+
+    Population i runs with seed ``seeds[i]`` and is reported as
+    ``run_ids[i]``. On the dense path the live populations'
+    rounds are one :func:`netgames.engine.play_step` on their
+    :class:`netgames.engine.Lockstep`, laid out again from the live ones
+    whenever one goes extinct; each still draws from its own stream in the
+    order it would alone, so its record is bit-identical to that of
+    :func:`run` on it alone. The on-demand path takes one population.
+    """
+    pops = list(pops)
+    seeds = list(seeds)
+    run_ids = list(run_ids)
+    if not pops or len(seeds) != len(pops) or len(run_ids) != len(pops):
+        raise ValueError("need at least one population, each with one seed and one run id")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if sample_every < 1:
         raise ValueError(f"sample_every={sample_every} must be >= 1")
-    if len(pop.strategies) != 2:
+    if any(len(pop.strategies) != 2 for pop in pops):
         raise ValueError("run expects a two-strategy table")
     if process == "moran":
         if not isinstance(cfg, MoranConfig):
             raise TypeError("moran process needs a MoranConfig")
-        n_events = cfg.events_per_step(pop.n)
     elif process == "adoption":
         if not isinstance(cfg, AdoptionConfig):
             raise TypeError("adoption process needs an AdoptionConfig")
@@ -281,89 +346,106 @@ def run(
         raise ValueError(f"unknown process {process!r}")
     if focal_index not in (0, 1):
         raise ValueError("focal_index must be 0 or 1")
+    lazy = any(uses_on_demand(pop.net.num_edges, sample_every) for pop in pops)
+    if lazy and len(pops) > 1:
+        raise ValueError("the on-demand path runs one population at a time")
     other = 1 - focal_index
 
-    rng = np.random.default_rng(seed)
-    n = pop.n
     sample_steps = np.arange(0, steps + 1, sample_every)
     if sample_steps[-1] != steps:
         sample_steps = np.append(sample_steps, steps)
     k_samples = len(sample_steps)
-    frac_a = np.empty(k_samples)
-    frac_b = np.empty(k_samples)
-    pay_a = np.empty(k_samples)
-    pay_b = np.empty(k_samples)
+    reps = [
+        _Replicate(pop, seed, cfg.events_per_step(pop.n) if process == "moran" else 1, k_samples)
+        for pop, seed in zip(pops, seeds)
+    ]
 
-    def record(k: int) -> None:
-        settle(pop)
-        ca = int(pop.counts[focal_index])
-        cb = n - ca
-        frac_a[k] = ca / n
-        frac_b[k] = cb / n
-        mask = pop.strat == focal_index
-        pay_a[k] = pop.pay[mask].mean() if ca else float("nan")
-        pay_b[k] = pop.pay[~mask].mean() if cb else float("nan")
-
-    cmd = class_mean_degrees(pop)
-    lazy = uses_on_demand(pop.net.num_edges, sample_every)
-    next_k = 1
-    extinct_at: int | None = None
-    with on_demand(pop, m, rng) if lazy else nullcontext():
-        record(0)
-        if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
-            extinct_at = 0
-        else:
-            for t in range(1, steps + 1):
-                if lazy:
-                    tick(pop)
-                else:
-                    pop.pay[:] = 0.0
-                    play_step(pop, m, rng)
+    with on_demand(pops[0], m, reps[0].rng) if lazy else nullcontext():
+        live = []
+        for rep in reps:
+            rep.record(0, focal_index)
+            if rep.pop.counts[focal_index] == 0 or rep.pop.counts[other] == 0:
+                rep.extinct_at = 0
+            else:
+                live.append(rep)
+        if len(live) > 1:
+            union = source = Lockstep((r.pop, r.rng) for r in live)
+        elif live:
+            union, source = live[0].pop, live[0].rng
+        next_k = 1
+        for t in range(1, steps + 1 if live else 1):
+            if lazy:
+                tick(union)
+            else:
+                union.pay[:] = 0.0
+                play_step(union, m, source)
+            sample = next_k < k_samples and t == sample_steps[next_k]
+            dropped = False
+            for rep in live:
+                pop, rng = rep.pop, rep.rng
                 if process != "moran":
                     adoption_event(pop, cfg, rng)
                 elif lazy:
                     # deaths are uniform and independent of the payoffs, so
                     # drawing them first and settling every edge they read
                     # at once leaves the process unchanged
-                    deaths = rng.integers(n, size=n_events)
+                    deaths = rng.integers(pop.n, size=rep.events)
                     settle_around(pop, deaths)
                     for x in deaths.tolist():
                         moran_event(pop, rng, x)
                 else:
-                    for _ in range(n_events):
+                    for _ in range(rep.events):
                         moran_event(pop, rng)
-                if next_k < k_samples and t == sample_steps[next_k]:
-                    record(next_k)
-                    next_k += 1
+                if sample:
+                    rep.record(next_k, focal_index)
                 if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
-                    extinct_at = t
+                    rep.extinct_at = t
+                    dropped = True
+            if sample:
+                next_k += 1
+            if dropped:
+                live = [rep for rep in live if rep.extinct_at is None]
+                if len(live) > 1:
+                    union.keep((r.pop, r.rng) for r in live)
+                elif live:
+                    # the last one plays alone, on its views of the lockstep's
+                    # arrays, which nothing else writes any more
+                    union, source = live[0].pop, live[0].rng
+                else:
                     break
 
-    if extinct_at is not None and next_k < k_samples:
-        absorbed = 1.0 if pop.counts[focal_index] else 0.0
-        frac_a[next_k:] = absorbed
-        frac_b[next_k:] = 1.0 - absorbed
-        pay_a[next_k:] = float("nan")
-        pay_b[next_k:] = float("nan")
-
-    return RunRecord(
-        run_id=run_id,
-        seed=seed,
-        steps=steps,
-        sample_every=sample_every,
-        label_a=pop.strategies[focal_index].label,
-        label_b=pop.strategies[other].label,
-        sample_steps=sample_steps,
-        frac_a=frac_a,
-        frac_b=frac_b,
-        mean_pay_a=pay_a,
-        mean_pay_b=pay_b,
-        final_fraction_a=float(frac_a[-1]),
-        extinct_at=extinct_at,
-        class_mean_deg_a=cmd[focal_index],
-        class_mean_deg_b=cmd[other],
-        mean_degree=pop.net.mean_degree,
-    )
+    records = []
+    for rep, seed, run_id in zip(reps, seeds, run_ids):
+        frac_a, frac_b, pay_a, pay_b = rep.samples
+        if rep.extinct_at is not None:
+            # samples after the extinction step hold the absorbing state
+            k = int(np.searchsorted(sample_steps, rep.extinct_at, side="right"))
+            absorbed = 1.0 if rep.pop.counts[focal_index] else 0.0
+            frac_a[k:] = absorbed
+            frac_b[k:] = 1.0 - absorbed
+            pay_a[k:] = float("nan")
+            pay_b[k:] = float("nan")
+        records.append(
+            RunRecord(
+                run_id=run_id,
+                seed=seed,
+                steps=steps,
+                sample_every=sample_every,
+                label_a=rep.pop.strategies[focal_index].label,
+                label_b=rep.pop.strategies[other].label,
+                sample_steps=sample_steps,
+                frac_a=frac_a,
+                frac_b=frac_b,
+                mean_pay_a=pay_a,
+                mean_pay_b=pay_b,
+                final_fraction_a=float(frac_a[-1]),
+                extinct_at=rep.extinct_at,
+                class_mean_deg_a=rep.class_mean_degrees[focal_index],
+                class_mean_deg_b=rep.class_mean_degrees[other],
+                mean_degree=rep.pop.net.mean_degree,
+            )
+        )
+    return records
 
 
 def write_run_csv(rec: RunRecord, path) -> None:

@@ -41,7 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from .engine import init_hubs, init_random
-from .evolution import AdoptionConfig, MoranConfig, RunRecord, run, write_run_csv
+from .evolution import (
+    AdoptionConfig,
+    MoranConfig,
+    RunRecord,
+    run_replicates,
+    uses_on_demand,
+    write_run_csv,
+)
 from .networks import (
     Network,
     TargetUnreachable,
@@ -73,7 +80,7 @@ class Scenario:
     n: int = 1000
     degree: int = 8  # regular family only
     ba_m: int = 1  # ba family only
-    rho_targets: tuple[float, ...] = ()  # non-empty turns the scenario into a sweep
+    rho_targets: tuple[float, ...] = ()  # two or more turn the scenario into a sweep
     rho_tol: float = 0.025
     rewire_max_steps: int = 400_000
     strategy_a: str = "zd_default"
@@ -120,6 +127,11 @@ class Scenario:
         if self.rewire_max_steps < 1:
             raise ValueError(f"rewire_max_steps={self.rewire_max_steps} must be >= 1")
         MoranConfig(self.replacement_rate)  # checks replacement_rate
+        if len(self.rho_targets) == 1:
+            raise ValueError(
+                f"rho_targets={self.rho_targets!r} holds one target; a sweep "
+                "correlates at least two"
+            )
         if self.rho_targets and self.family != "ba":
             raise ValueError(f"rho_targets needs the ba family, not {self.family!r}")
         try:
@@ -413,57 +425,76 @@ def _build_network(
     )
 
 
-def _execute_run(
-    s: Scenario,
-    net: Network | None,
-    group: int,
-    target: float | None,
-    achieved_rho: float,
-    run_index: int,
-    runs_dir: Path,
-) -> RunRecord:
-    rep = run_index - group * s.replicates
-    if net is None:  # sweep replicate after the first: build its own network
-        try:
-            net, achieved_rho = _build_network(s, group, target, rep)
-        except TargetUnreachable as exc:
-            # replicate 0 reached this target, so the target is sound and
-            # only this draw falls short: keep the graph its walk ended on
-            net, achieved_rho = exc.network, exc.achieved_rho
-    seed = s.base_seed + run_index
+def _execute_batch(s: Scenario, runs_dir: Path, tasks) -> list[RunRecord]:
+    """Run a batch of replicates together and write their run files.
+
+    Each task is (network, group, target, achieved rho, run index); a sweep
+    replicate after the first of its target has no network yet and builds
+    its own draw here.
+    """
     a = named_strategy(s.strategy_a)
     b = named_strategy(s.strategy_b)
-    init_seed = derive_seed(seed, 11)
-    dyn_seed = derive_seed(seed, 22)
-    if s.init == "random":
-        pop = init_random(net, a, b, s.fraction_a, init_seed)
-        focal = 0
-    elif s.hub_strategy == "a":
-        pop = init_hubs(net, a, b, s.fraction_a, init_seed)
-        focal = 0
-    else:
-        pop = init_hubs(net, b, a, 1.0 - s.fraction_a, init_seed)
-        focal = 1
+    pops, dyn_seeds, run_ids, placed = [], [], [], []
+    focal = 1 if s.init == "hubs" and s.hub_strategy == "b" else 0
+    for net, group, target, achieved_rho, run_index in tasks:
+        if net is None:
+            try:
+                net, achieved_rho = _build_network(
+                    s, group, target, run_index - group * s.replicates
+                )
+            except TargetUnreachable as exc:
+                # replicate 0 reached this target, so the target is sound and
+                # only this draw falls short: keep the graph its walk ended on
+                net, achieved_rho = exc.network, exc.achieved_rho
+        seed = s.base_seed + run_index
+        init_seed = derive_seed(seed, 11)
+        if s.init == "random":
+            pops.append(init_random(net, a, b, s.fraction_a, init_seed))
+        elif focal == 0:
+            pops.append(init_hubs(net, a, b, s.fraction_a, init_seed))
+        else:
+            pops.append(init_hubs(net, b, a, 1.0 - s.fraction_a, init_seed))
+        dyn_seeds.append(derive_seed(seed, 22))
+        run_ids.append(run_index)
+        placed.append((target, achieved_rho))
     if s.process == "moran":
         cfg: MoranConfig | AdoptionConfig = MoranConfig(s.replacement_rate)
     else:
         cfg = AdoptionConfig.for_pair(a, b, s.matrix)
-    rec = run(
-        pop,
+    records = run_replicates(
+        pops,
         s.process,
         s.steps,
         s.matrix,
         cfg,
-        dyn_seed,
+        dyn_seeds,
+        run_ids,
         sample_every=s.sample_every,
-        run_id=run_index,
         focal_index=focal,
     )
-    rec.seed = seed  # report the replicate seed, not the derived dynamics seed
-    rec.target_rho = target
-    rec.achieved_rho = achieved_rho
-    write_run_csv(rec, runs_dir / f"run_{run_index:04d}.csv")
-    return rec
+    for rec, (target, achieved_rho) in zip(records, placed):
+        rec.seed = s.base_seed + rec.run_id  # the replicate seed, not the dynamics seed
+        rec.target_rho = target
+        rec.achieved_rho = achieved_rho
+        write_run_csv(rec, runs_dir / f"run_{rec.run_id:04d}.csv")
+    return records
+
+
+# replicates that play densely run in batches whose networks together hold
+# at most this many edges, one lockstep round per step: at n = 200 a round
+# costs mostly per-call overhead, which a batch of 20 pays once
+_LOCKSTEP_EDGES = 20_000
+
+
+def _batch_size(s: Scenario, num_edges: int, replicates: int, parallelism: int) -> int:
+    """Replicates per batch: within _LOCKSTEP_EDGES, and enough batches for every worker.
+
+    A replicate on the on-demand path runs alone.
+    """
+    if uses_on_demand(num_edges, s.sample_every):
+        return 1
+    per_worker = -(-replicates // parallelism)
+    return max(1, min(_LOCKSTEP_EDGES // num_edges, per_worker))
 
 
 def read_final_fraction(run_csv) -> float:
@@ -515,18 +546,25 @@ def run_scenario(s: Scenario, out_dir, parallelism: int = 1) -> SweepResult:
     tasks = []
     for gi, (target, (_, net, rho)) in enumerate(zip(targets, files)):
         for rep in range(s.replicates):
-            run_index = gi * s.replicates + rep
-            tasks.append((s, net, gi, target, rho, run_index, runs_dir))
+            tasks.append((net, gi, target, rho, gi * s.replicates + rep))
             if s.rho_targets:  # later sweep replicates build their own draws
                 net, rho = None, float("nan")
     _remove_stale(runs_dir, "run_*.csv", keep={f"run_{i:04d}.csv" for i in range(len(tasks))})
     _remove_stale(runs_dir, "*.csv.tmp")
 
+    # every replicate has |E| edges: rewiring keeps the degree sequence.
+    # Batches take every k-th replicate, so a sweep's costly draws, which
+    # gather at its extreme targets, spread over all of them
+    size = _batch_size(s, files[0][1].num_edges, len(tasks), parallelism)
+    k = -(-len(tasks) // size)
+    batches = [tasks[i::k] for i in range(k)]
+    args = ([s] * k, [runs_dir] * k, batches)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(_execute_run, *zip(*tasks)))
+            done = list(pool.map(_execute_batch, *args))
     else:
-        records = list(map(_execute_run, *zip(*tasks)))  # either map keeps run_id order
+        done = list(map(_execute_batch, *args))
+    records = sorted((rec for batch in done for rec in batch), key=lambda r: r.run_id)
 
     # aggregate from the persisted per-run files, not the in-memory records
     finals = [read_final_fraction(runs_dir / f"run_{r.run_id:04d}.csv") for r in records]

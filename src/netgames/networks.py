@@ -44,8 +44,10 @@ class Network:
         self.n = int(n)
         if self.n < 1:
             raise ValueError("need at least one node")
-        pairs = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        arr = arr.reshape(-1, 2)
+        arr.sort(axis=1)
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
         if arr.size:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("edge endpoint out of range")

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from netgames.engine import (
     UNPLAYED,
     IsolatedNode,
+    Lockstep,
     Population,
     class_mean_degrees,
     init_hubs,
@@ -259,6 +260,60 @@ class TestReferenceEquivalence:
         for a, b in zip(alone, shared):
             assert np.array_equal(a.mem, b.mem)
             assert np.array_equal(a.pay, b.pay)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("e", [1, 7, 199, 800])
+    def test_two_draws_give_the_numbers_of_one(self, e):
+        # a lockstep fills a member's u and v draws by two calls; a round of
+        # the member alone fills them by one
+        split, whole = np.random.default_rng(31), np.random.default_rng(31)
+        out = np.empty(2 * e)
+        split.random(out=out[:e])
+        split.random(out=out[e:])
+        assert out.tobytes() == whole.random(2 * e).tobytes()
+        assert split.bit_generator.state == whole.bit_generator.state
+
+    def _members(self):
+        nets = [barabasi_albert(50, 1, seed=32), regular_random(40, 4, seed=33),
+                barabasi_albert(60, 2, seed=34)]
+        return [init_random(net, ZD, PAVLOV, 0.5, seed=35 + i) for i, net in enumerate(nets)]
+
+    def test_round_matches_solo_rounds(self):
+        solo, members = self._members(), self._members()
+        solo_rngs = [np.random.default_rng(40 + i) for i in range(3)]
+        rngs = [np.random.default_rng(40 + i) for i in range(3)]
+        lockstep = Lockstep(zip(members, rngs))
+        events = np.random.default_rng(41)
+        for step in range(40):
+            if step == 20:  # drop the middle member: the rest move up
+                dropped = members[1]
+                lockstep.keep([(members[0], rngs[0]), (members[2], rngs[2])])
+                kept_pay, kept_mem = dropped.pay.copy(), dropped.mem.copy()
+            live = [0, 2] if step >= 20 else [0, 1, 2]
+            lockstep.pay[:] = 0.0
+            play_step(lockstep, M, lockstep)
+            for i in live:
+                solo[i].pay[:] = 0.0
+                play_step(solo[i], M, solo_rngs[i])
+                assert members[i].mem.tobytes() == solo[i].mem.tobytes()
+                assert members[i].pay.tobytes() == solo[i].pay.tobytes()
+                assert rngs[i].bit_generator.state == solo_rngs[i].bit_generator.state
+                # an event on a member writes through its views
+                node = int(events.integers(solo[i].n))
+                for pop in (solo[i], members[i]):
+                    set_strategy(pop, node, 1 - int(pop.strat[node]))
+                    reset_node(pop, node)
+        # the dropped member kept its own copies, untouched by later rounds
+        assert dropped.pay.tobytes() == kept_pay.tobytes()
+        assert dropped.mem.tobytes() == kept_mem.tobytes()
+        assert lockstep.net.num_edges == members[0].net.num_edges + members[2].net.num_edges
+
+    def test_members_need_one_strategy_table(self):
+        net = barabasi_albert(30, 1, seed=42)
+        pops = [init_random(net, ZD, PAVLOV, 0.5, seed=43), init_random(net, PAVLOV, ZD, 0.5, seed=43)]
+        with pytest.raises(ValueError, match="strategy table"):
+            Lockstep((pop, np.random.default_rng(44)) for pop in pops)
 
 
 # chi-square 0.999 quantiles by degrees of freedom: each check wrongly fails

@@ -25,6 +25,7 @@ from netgames.evolution import (
     adoption_probability,
     moran_event,
     run,
+    run_replicates,
     uses_on_demand,
     write_run_csv,
     _select_neighbor,
@@ -360,6 +361,37 @@ class TestRun:
                     write(full / name)
             assert list(full.iterdir()) == [], name
         assert sorted(p.name for p in (tmp_path / "good").iterdir()) == sorted(writers)
+
+
+class TestRunReplicates:
+    def _pops(self):
+        nets = [regular_random(30, 4, seed=50), barabasi_albert(24, 2, seed=51),
+                regular_random(30, 4, seed=50), barabasi_albert(40, 1, seed=52)]
+        return [init_random(net, ZD, PAVLOV, 0.5, seed=53 + i) for i, net in enumerate(nets)]
+
+    @pytest.mark.parametrize("process", ["moran", "adoption"])
+    def test_records_match_runs_alone(self, process):
+        # networks of different sizes; replicates die at different steps,
+        # so the lockstep is laid out again mid-run
+        cfg = MoranConfig(0.1) if process == "moran" else AdoptionConfig.for_pair(ZD, PAVLOV, M)
+        seeds = [60, 61, 62, 63]
+        alone = [run(pop, process, 600, M, cfg, seed, 50, run_id)
+                 for run_id, (pop, seed) in enumerate(zip(self._pops(), seeds))]
+        pops = self._pops()
+        together = run_replicates(pops, process, 600, M, cfg, seeds, range(4), 50)
+        assert len({r.extinct_at for r in alone}) > 2
+        for a, b, pop in zip(alone, together, pops):
+            for name, x in vars(a).items():
+                y = getattr(b, name)
+                if isinstance(x, np.ndarray):
+                    assert x.tobytes() == y.tobytes(), name
+                else:
+                    assert x == y or (x != x and y != y), name
+
+    def test_on_demand_path_takes_one_population(self, monkeypatch):
+        monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0)
+        with pytest.raises(ValueError, match="one population"):
+            run_replicates(self._pops(), "moran", 10, M, MoranConfig(), [1, 2, 3, 4], range(4))
 
 
 class TestNeutralDrift:

@@ -165,7 +165,8 @@ _BAD_VALUES = [
     ("fraction_a", 1.5),
     ("replicates", 0),
     ("steps", 0),
-    ("rho_targets", (0.1,)),  # tiny_scenario is a regular graph
+    ("rho_targets", (0.1, 0.2)),  # tiny_scenario is a regular graph
+    ("rho_targets", (-0.2,)),  # one target leaves nothing to correlate
 ]
 
 
@@ -199,6 +200,15 @@ class TestScenarioValidation:
         assert code == 1
         assert err.count("\n") == 1 and "strategy_b='bogus'" in err
         assert not (tmp_path / "runs").exists()
+
+    def test_cli_rejects_a_one_target_sweep_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "fig7_assortativity_sweep", "--out", str(out),
+                     "--set", "rho_targets=-0.2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "rho_targets=(-0.2,)" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("item", ["steps=abc", "rho_targets=0.1,a"])
     def test_cli_reports_unparsable_value_in_one_line(self, tmp_path, capsys, item):
@@ -355,6 +365,39 @@ class TestRunScenario:
 
     def _files(self, out):
         return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    def _batching_cases(self):
+        return {
+            "plain": tiny_scenario(replicates=5),
+            # six draws of two targets, one of them stranded short of +0.2
+            "sweep": self._short_sweep(replicates=3),
+            "extinct_at_start": tiny_scenario(fraction_a=1.0, replicates=3),
+            # extinct at steps 221, 109, 123, 29 and 255: the union shrinks
+            "staggered_extinction": tiny_scenario(
+                process="moran", replacement_rate=0.1, steps=400, replicates=5
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["plain", "sweep", "extinct_at_start", "staggered_extinction"]
+    )
+    def test_batch_size_and_workers_leave_every_file_unchanged(
+        self, tmp_path, monkeypatch, case
+    ):
+        s = self._batching_cases()[case]
+        runs = {}
+        for size in (1, 3, 20):
+            monkeypatch.setattr(experiments, "_batch_size", lambda *args, size=size: size)
+            for parallelism in (1, 2):
+                out = tmp_path / f"{size}-{parallelism}"
+                result = run_scenario(s, out_dir=out, parallelism=parallelism)
+                runs[size, parallelism] = self._files(out)
+        assert all(files == runs[1, 1] for files in runs.values())
+        extinct = [r.extinct_at for r in result.records]
+        if case == "extinct_at_start":
+            assert extinct == [0, 0, 0]
+        if case == "staggered_extinction":
+            assert None not in extinct and len(set(extinct)) == len(extinct)
 
     def test_rerun_in_place_reproduces_every_file(self, tmp_path):
         s = self._short_sweep()

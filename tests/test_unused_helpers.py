@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # kept on purpose although no program file calls them
 ALLOWED = {
     "round_payoffs": "tests use it as an oracle independent of the edge round",
+    "run": "the one-population entry point that bench/ and the tests call; "
+    "run_scenario runs its replicates through run_replicates",
     "zd_pinned_payoff": "the paper's pinned-payoff formula, checked by acceptance criterion 2",
 }
 
