@@ -376,8 +376,8 @@ def on_demand(pop: Population, m: PayoffMatrix, rng: np.random.Generator):
     be read, or :func:`settle_around` on the nodes whose neighbours' payoffs
     are. :func:`set_strategy`, :func:`reset_node` and the evolution events
     do so themselves; run() settles around all of a death-birth step's
-    deaths at once and passes each event its node. Rounds and jumps draw
-    from ``rng``.
+    deaths at once and passes the step's events all of them. Rounds and
+    jumps draw from ``rng``.
     Leaving the block settles every edge, so ``mem`` and ``pay`` then hold
     the last step's round just as after :func:`play_step`.
     """
@@ -464,10 +464,14 @@ def settle_around(pop: Population, centres) -> None:
     od.marked[centres] = pop.clock - od.full
 
 
-# CSR rows of up to this many nodes are gathered one slice at a time, more in
-# one vectorised gather. On BA(20000, 2), 2 nodes cost ~5 µs by slices and
-# ~10 µs vectorised, 4 to 8 nodes about the same either way, and the 68
-# neighbours of one 20-death step ~78 µs by slices and ~16 µs vectorised.
+# Up to this many nodes are handled one at a time, more in one vectorised
+# pass whose fixed cost only more nodes repay: CSR rows gathered here, and a
+# death-birth step's events (evolution.moran_event). On BA(20000, 2), 2 nodes
+# cost ~5 µs by slices and ~10 µs vectorised, 4 to 8 nodes about the same
+# either way, and the 68 neighbours of one 20-death step ~78 µs by slices
+# and ~16 µs vectorised. The events of 2 deaths cost ~30 µs one at a time
+# and ~65 µs batched, of 6 to 8 deaths about the same either way, and of 20
+# deaths ~370 µs one at a time and ~130 µs batched.
 _FEW_NODES = 8
 
 
@@ -475,13 +479,17 @@ def _gather(values: np.ndarray, indptr: np.ndarray, nodes) -> np.ndarray:
     """``values[indptr[v] : indptr[v + 1]]`` for each v in ``nodes``, concatenated."""
     if len(nodes) <= _FEW_NODES:
         return np.concatenate([values[:0], *(values[indptr[v] : indptr[v + 1]] for v in nodes)])
-    nodes = np.asarray(nodes)
+    return values[_rows(indptr, np.asarray(nodes))[0]]
+
+
+def _rows(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of the rows of ``nodes``, concatenated, and each row's length."""
     lo = indptr[nodes]
     count = indptr[nodes + 1] - lo
     # position i of the result is lo[j] + (i - start of node j's run)
-    pos = np.repeat(lo - count.cumsum() + count, count)
+    pos = (lo - count.cumsum() + count).repeat(count)
     pos += np.arange(len(pos))
-    return values[pos]
+    return pos, count
 
 
 def _settle_all(pop: Population, od: _OnDemand) -> None:

@@ -28,14 +28,16 @@ takes one replicate, plays an edge only when an event, a sample or a
 strategy change reads it (``engine.on_demand``), and settles once per
 step: an adoption event settles its two nodes, and run() draws a
 death-birth step's deaths first and settles every edge they read in one
-``engine.settle_around`` before the events run in draw order. On BA(20000,
-2) at replacement rate 0.001 (20 deaths) that step costs ~0.5 ms instead of
-the dense ~1.1 ms; see the table at ON_DEMAND_EDGES_PER_STEP. Both paths
-are deterministic for a seed, but they consume the seed's stream
-differently, so the same seed gives a different (equally distributed) run
-on each. On PCG64 one array draw of k deaths gives the numbers of k scalar
-draws, so an on-demand step with one death draws the same stream as one
-``moran_event(pop, rng)`` call.
+``engine.settle_around``. The step's events then run in one
+:func:`moran_event` call, a vectorised pass for each run of deaths that do
+not interact, with the same effect and draws as one event per death in
+draw order. On BA(20000, 2) at replacement rate 0.001 (20 deaths) that
+step costs ~0.32 ms instead of the dense ~1.1 ms; see the table at
+ON_DEMAND_EDGES_PER_STEP. Both paths are deterministic for a seed, but
+they consume the seed's stream differently, so the same seed gives a
+different (equally distributed) run on each. On PCG64 one array draw of k
+deaths gives the numbers of k scalar draws, so an on-demand step with one
+death draws the same stream as one ``moran_event(pop, rng)`` call.
 """
 
 from __future__ import annotations
@@ -47,10 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
+    UNPLAYED,
+    _FEW_NODES,
     IsolatedNode,
     Lockstep,
     Population,
     _round_half_up,
+    _rows,
     class_mean_degrees,
     on_demand,
     play_step,
@@ -70,15 +75,16 @@ _TIE_TOL = 1e-9  # expected-payoff gaps below this count as a tie
 # settle, whatever its number of events, costs about a dense round over this
 # many edges. Per-step run() cost, dense -> on demand, sampling every 100
 # steps, on a 2-core host (µs): adoption on BA m=1 at |E| 299: 39 -> 47,
-# 599: 46 -> 41, 2499: 73 -> 47, 19999: 480 -> 72; death-birth at rate
-# 0.001 on 8-regular graphs (one death a step) at |E| 400: 36 -> 62, 1000:
-# 60 -> 76, 4000: 91 -> 84; on BA m=2 at |E| 1997: 96 -> 76, 2997: 103 ->
-# 82, 9997: 219 -> 127, 39997 (20 deaths): 1099 -> 507; at rate 0.01 on BA
-# m=2, |E| 1997: 237 -> 287, 39997: 4529 -> 4211; at rate 0.05, |E| 39997:
-# 17319 -> 16780. Break-even lies between ~700 edges (BA m=2) and ~3600
-# (8-regular); 2500 keeps every reduced preset (at most 800 edges) dense,
-# and every full-profile preset on the path it took when this was charged
-# per event.
+# 599: 46 -> 41, 2499: 73 -> 47, 19999: 480 -> 72. Death-birth, measured
+# again once a step's events ran batched (on a host whose speed drifted by
+# up to ~30% between runs): at rate 0.001 on 8-regular graphs (one death a
+# step) at |E| 400: 47 -> 96, 1000: 68 -> 102, 4000: 121 -> 91; on BA m=2
+# at |E| 1997: 92 -> 96, 2997 (2 deaths): 129 -> 92, 9997 (5): 257 -> 135,
+# 39997 (20): 1137 -> 320; at rate 0.01 on BA m=2, |E| 1997: 179 -> 231,
+# 39997: 4799 -> 1537; at rate 0.05, |E| 39997: 16635 -> 5375. Break-even
+# lies between ~700 edges (BA m=2) and ~3600 (8-regular); 2500 keeps every
+# reduced preset (at most 800 edges) dense, and every full-profile preset
+# on the path it took when this was charged per event.
 ON_DEMAND_EDGES_PER_STEP = 2500
 
 
@@ -132,20 +138,26 @@ def _neighbors(pop: Population, x: int) -> np.ndarray:
     return nbr[lo:hi]
 
 
+def _fitness(pop: Population, nodes: np.ndarray) -> np.ndarray:
+    """Fitness of ``nodes``: payoff divided by degree, floored at 0; defined here only."""
+    return np.maximum(pop.pay[nodes] / pop.net.degrees[nodes], 0.0)
+
+
 def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
     """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0.
 
-    A node's fitness is its payoff divided by its degree, computed here only.
-    The neighbors' edges must be settled already.
+    The total fitness is the last cumulative weight, not a separate sum:
+    numpy's pairwise ``sum`` can differ from the sequential sum in the last
+    bits, and :func:`_replace_all` takes each row's total from a row-wise
+    cumsum. The neighbors' edges must be settled already.
     """
     nbrs = _neighbors(pop, x)
-    w = np.maximum(pop.pay[nbrs] / pop.net.degrees[nbrs], 0.0)
-    tot = w.sum()
-    if tot <= 0.0:
-        return int(nbrs[rng.integers(len(nbrs))])
     # array methods, not np.cumsum / np.searchsorted: same numbers, without
     # the Python wrappers those add to every call
-    c = w.cumsum()
+    c = _fitness(pop, nbrs).cumsum()
+    tot = c[-1]
+    if tot <= 0.0:
+        return int(nbrs[rng.integers(len(nbrs))])
     idx = int(c.searchsorted(rng.random() * tot, side="right"))
     if idx >= len(nbrs):
         idx = len(nbrs) - 1
@@ -153,22 +165,116 @@ def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
 
 
 def moran_event(
-    pop: Population, rng: np.random.Generator, x: int | None = None
-) -> tuple[int, int]:
-    """One death-birth event; returns (replaced node, parent neighbor).
+    pop: Population, rng: np.random.Generator, x: int | np.ndarray | None = None
+) -> tuple:
+    """Death-birth events; returns (replaced node, parent neighbor).
 
-    Without ``x`` the event draws the node to replace and settles the edges
+    Without ``x`` one event draws the node to replace and settles the edges
     it reads. With ``x`` the caller has drawn it and settled those edges
-    (see :func:`netgames.engine.settle_around`), as run() does for all of a
-    step's deaths at once on the on-demand path.
+    (see :func:`netgames.engine.settle_around`). ``x`` may also be an array
+    of a step's deaths, settled at once, as run() passes on the on-demand
+    path; the result is then (deaths, parents) as arrays, bit-identical in
+    every effect to one call per death in draw order. Up to
+    ``engine._FEW_NODES`` deaths run one event at a time, more as
+    :func:`_replace_all`, whose fixed cost only more deaths repay.
     """
     if x is None:
         x = int(rng.integers(pop.n))
         settle_around(pop, [x])
+    elif np.ndim(x):
+        deaths = np.asarray(x, dtype=np.intp)
+        if len(deaths) > _FEW_NODES:
+            return deaths, _replace_all(pop, rng, deaths)
+        return deaths, np.array([_replace(pop, rng, v) for v in deaths.tolist()], dtype=np.intp)
+    return x, _replace(pop, rng, x)
+
+
+def _replace(pop: Population, rng: np.random.Generator, x: int) -> int:
+    """Replace settled node x by a copy of a fitness-drawn neighbour; returns it."""
     y = _select_neighbor(pop, x, rng)
     set_strategy(pop, x, int(pop.strat[y]))
     reset_node(pop, x)
-    return x, y
+    return y
+
+
+def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) -> np.ndarray:
+    """:func:`_replace` of each settled death in draw order; returns the parents.
+
+    The deaths go in runs. A run ends before a death that equals or
+    neighbours an earlier death of the run, so no event of a run reads what
+    an earlier one wrote (a replaced node's payoff and strategy), and each
+    run is one vectorised pass: its rows' weights in one gather, their
+    cumulative sums in one zero-padded ``cumsum(axis=1)`` (bit-equal to each
+    row's own), its parents drawn by one ``rng.random`` over the rows (on
+    PCG64 the numbers of one draw per row) with each zero-fitness row's
+    ``rng.integers(degree)`` taken in its place in the stream, and its
+    writes in one gather over the deaths' CSR rows. The conflicts are found
+    once per step, by one sorted search over the deaths' rows, so the work
+    grows with the step's deaths and their edges, not with their square. An
+    isolated death raises IsolatedNode before any event.
+    """
+    indptr, nbr, eid = pop.net.csr()
+    pos, deg = _rows(indptr, deaths)
+    if not deg.all():
+        raise IsolatedNode(f"node {deaths[deg.argmin()]} has no neighbors")
+    nb = nbr[pos]
+    k = len(deaths)
+    ends = deg.cumsum()
+    starts = ends - deg
+    # prev[j]: the last earlier death at j's node or a neighbour of it, or a
+    # negative number. Each (node, j) is looked up among the deaths' keys
+    # node * k + index, sorted; the key just below it is that node's last
+    # death before j if it is that node's at all (below node * k it is not,
+    # and a lookup below every key wraps round to one at least node * k + j)
+    j = np.arange(k)
+    key = np.sort(deaths * k + j)
+    node = np.concatenate((deaths, nb)) * k
+    owner = np.concatenate((j, j.repeat(deg)))
+    prev = key[key.searchsorted(node + owner) - 1] - node
+    prev[prev >= owner] = -1
+    prev = np.maximum(prev[:k], np.maximum.reduceat(prev[k:], starts))
+    bounds = [0]
+    for i, p in enumerate(prev.tolist()):
+        if p >= bounds[-1]:
+            bounds.append(i)
+    bounds.append(k)
+
+    strat, code_step = pop.strat, pop._code_step
+    parents = np.empty(k, dtype=nbr.dtype)
+    for s, e in zip(bounds, bounds[1:]):
+        lo, hi, d = starts[s], ends[e - 1], deg[s:e]
+        width = d.max()
+        # rows zero-padded to one width: padding leaves each row's cumsum
+        # bit-equal to its own, and the last column holds its total
+        c = np.zeros((e - s, width))
+        c[np.arange(width) < d[:, None]] = _fitness(pop, nb[lo:hi])
+        c.cumsum(axis=1, out=c)
+        tot = c[:, -1]
+        u = np.zeros(e - s)
+        at, uniform = 0, []
+        zero = (tot <= 0.0).nonzero()[0]
+        for z in zero.tolist():
+            rng.random(out=u[at:z])
+            uniform.append(rng.integers(d[z]))
+            at = z + 1
+        rng.random(out=u[at:])
+        u *= tot
+        # a row's count of cumulative weights <= u is its searchsorted index
+        col = np.minimum((c <= u[:, None]).sum(axis=1), d - 1)
+        col[zero] = uniform
+        y = nb[starts[s:e] + col]
+        x = deaths[s:e]
+        new, old = strat[y], strat[x]
+        pop.counts += np.bincount(new, minlength=len(pop.counts))
+        pop.counts -= np.bincount(old, minlength=len(pop.counts))
+        strat[x] = new
+        p = pos[lo:hi]
+        edges = eid[p]
+        pop._code[edges] += (new - old).astype(np.int16).repeat(d) * code_step[p]
+        pop.pay[x] = 0.0
+        pop.mem[edges] = UNPLAYED
+        parents[s:e] = y
+    return parents
 
 
 def adoption_probability(
@@ -391,8 +497,7 @@ def run_replicates(
                     # at once leaves the process unchanged
                     deaths = rng.integers(pop.n, size=rep.events)
                     settle_around(pop, deaths)
-                    for x in deaths.tolist():
-                        moran_event(pop, rng, x)
+                    moran_event(pop, rng, deaths)
                 else:
                     for _ in range(rep.events):
                         moran_event(pop, rng)

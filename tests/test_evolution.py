@@ -8,9 +8,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import netgames.evolution as evolution
+import netgames.engine as engine
 from netgames import experiments, networks
 from netgames.engine import (
     UNPLAYED,
+    IsolatedNode,
     Population,
     init_random,
     on_demand,
@@ -33,6 +35,8 @@ from netgames.evolution import (
 from netgames.networks import Network, barabasi_albert, complete_graph, regular_random
 from netgames.strategies import DEFAULT_MATRIX, named_strategy
 
+from conftest import connected_graphs
+
 M = DEFAULT_MATRIX
 ZD = named_strategy("zd_default")
 PAVLOV = named_strategy("pavlov")
@@ -40,6 +44,36 @@ COOPERATOR = named_strategy("cooperator")
 DEFECTOR = named_strategy("defector")
 
 D_ZD_PAVLOV = 5.0 / 11.0  # |E(zd, pavlov) - E(pavlov, zd)| = 27/11 - 22/11
+
+
+@st.composite
+def death_steps(draw):
+    """A connected graph, tree or star, a step's deaths on it, and a seed.
+
+    Each death is a uniform node, a repeat of an earlier death, a neighbour
+    of one, or the top hub, so steps hold every conflict batching must see.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    shape = draw(st.sampled_from(("graph", "tree", "star")))
+    if shape == "graph":
+        net = draw(connected_graphs(min_n=2))
+    else:
+        n = draw(st.integers(min_value=2, max_value=20))
+        net = Network(n, [(0 if shape == "star" else int(rng.integers(v)), v) for v in range(1, n)])
+    indptr, nbr, _ = net.csr()
+    deaths = [int(rng.integers(net.n))]
+    for _ in range(int(rng.integers(1, 3 * net.n))):
+        kind = rng.integers(4)
+        x = deaths[int(rng.integers(len(deaths)))]
+        if kind == 0:
+            x = int(rng.integers(net.n))
+        elif kind == 1:
+            x = int(nbr[rng.integers(indptr[x], indptr[x + 1])])
+        elif kind == 2:
+            x = int(net.degrees.argmax())
+        deaths.append(x)
+    return net, np.array(deaths), seed
 
 
 class TestConfigs:
@@ -163,8 +197,9 @@ class TestMoranEvent:
                 assert pop.strat.tolist() == [0, 1, 0, 1, 0, 0], lazy
 
     def test_batched_death_draws_match_scalar_draws(self):
-        # run() draws a step's deaths as one array on the on-demand path; on
-        # PCG64 that gives the numbers and end state of one draw per death,
+        # run() draws a step's deaths as one array on the on-demand path, and
+        # a batch of deaths draws its parents' uniforms as one array; on
+        # PCG64 each gives the numbers and end state of one draw per death,
         # so a one-death step draws what the per-event loop draws
         for seed in range(200):
             for n, k in ((30, 6), (1000, 1), (20_000, 20)):
@@ -173,6 +208,65 @@ class TestMoranEvent:
                     int(scalar.integers(n)) for _ in range(k)
                 ]
                 assert batched.bit_generator.state == scalar.bit_generator.state
+                assert batched.random(k).tolist() == [scalar.random() for _ in range(k)]
+                assert batched.bit_generator.state == scalar.bit_generator.state
+
+    @given(death_steps(), st.booleans())
+    @settings(max_examples=150)
+    def test_batched_step_equals_one_event_per_death(self, step, lazy):
+        # duplicates, neighbouring deaths, hubs and zero-fitness
+        # neighbourhoods (a leaf whose hub died earlier in the step sees a
+        # freshly reset payoff of 0) must leave every array and the stream
+        # as one moran_event per death in draw order leaves them
+        net, deaths, seed = step
+        after = []
+        for batched in (False, True):
+            pop = init_random(net, ZD, PAVLOV, 0.5, seed=seed)
+            fill = np.random.default_rng(seed)
+            pop.pay[:] = fill.normal(2.0, 3.0, net.n)  # some negative: fitness 0
+            pop.pay[fill.random(net.n) < fill.choice([0.0, 0.5, 0.9, 1.0])] = 0.0
+            pop.mem[:] = fill.integers(0, UNPLAYED + 1, net.num_edges)
+            rng = np.random.default_rng(seed + 1)
+            with on_demand(pop, M, rng) if lazy else nullcontext():
+                if lazy:
+                    tick(pop)
+                    settle_around(pop, deaths)
+                if batched:  # the batch itself, whatever the number of deaths
+                    parents = evolution._replace_all(pop, rng, deaths).tolist()
+                else:
+                    parents = [moran_event(pop, rng, int(x))[1] for x in deaths]
+                after.append((
+                    parents, pop.strat.tolist(), pop.counts.tolist(), pop.pay.tobytes(),
+                    pop.mem.tobytes(), pop._code.tobytes(), rng.bit_generator.state,
+                ))
+        assert after[0] == after[1]
+
+    def test_batch_with_an_isolated_death_raises(self):
+        net = Network(4, [(0, 1), (1, 2)])
+        pop = Population(net, (ZD, PAVLOV), np.array([0, 1, 0, 1]))
+        deaths = np.array([0, 2, 1, 0, 3, 1, 2, 0, 1, 2])  # more than a few: a batch
+        with pytest.raises(IsolatedNode, match="node 3 has no neighbors"):
+            moran_event(pop, np.random.default_rng(0), deaths)
+        with pytest.raises(IsolatedNode, match="node 3 has no neighbors"):
+            for x in deaths.tolist():
+                moran_event(pop, np.random.default_rng(0), x)
+
+    def test_batch_leaves_the_deaths_neighbourhoods_settled(self):
+        net = barabasi_albert(300, 2, seed=70)
+        pop = init_random(net, ZD, PAVLOV, 0.5, seed=71)
+        rng = np.random.default_rng(72)
+        indptr, nbr, eid = net.csr()
+        with on_demand(pop, M, rng):
+            od = pop._on_demand
+            for _ in range(20):
+                tick(pop)
+                deaths = rng.integers(net.n, size=30)
+                settle_around(pop, deaths)
+                x, parents = moran_event(pop, rng, deaths)
+                assert x.tolist() == deaths.tolist() and len(parents) == len(deaths)
+                lag = pop.clock - od.full
+                for v in engine._gather(nbr, indptr, deaths).tolist():
+                    assert np.all(od.settled[eid[indptr[v] : indptr[v + 1]]] == lag)
 
 
 class TestAdoptionEvent:
@@ -487,6 +581,27 @@ class TestOnDemandPath:
                 pop.mem[:] = 0  # played before, so every move is fixed
                 run(pop, "moran", 1, M, MoranConfig(), seed=seed, sample_every=2)
                 assert np.all(pop.strat[strat == 1] == 1), (lazy, seed)
+
+    @pytest.mark.parametrize("rate", [0.01, 0.1, 1.0])
+    def test_batched_steps_give_the_records_of_one_event_per_death(self, monkeypatch, rate):
+        # run() hands moran_event a step's deaths at once; the same run with
+        # one call per death must give the same record and final population
+        net = barabasi_albert(2000, 2, seed=44)
+        assert uses_on_demand(net.num_edges, 5)
+        batched = moran_event
+
+        def one_by_one(pop, rng, x=None):
+            for d in np.atleast_1d(x).tolist():
+                batched(pop, rng, d)
+
+        after = []
+        for event in (one_by_one, batched):
+            monkeypatch.setattr(evolution, "moran_event", event)
+            pop = init_random(net, ZD, PAVLOV, 0.5, seed=45)
+            rec = run(pop, "moran", 6, M, MoranConfig(rate), seed=46, sample_every=5)
+            after.append(([getattr(rec, f).tobytes() for f in ("frac_a", "mean_pay_a", "mean_pay_b")],
+                          pop.strat.tobytes(), pop.pay.tobytes(), pop.mem.tobytes()))
+        assert after[0] == after[1]
 
     def test_run_returns_with_every_edge_settled(self, monkeypatch):
         # extinction ends the run between samples, so only run's own final
