@@ -220,11 +220,15 @@ class Lockstep:
     member alone makes. So each member's ``mem`` and ``pay`` end bit-equal to
     those of its own :func:`play_step` from the same stream state.
 
-    While a population is a member, its ``pay``, ``mem`` and pair codes are
-    views into the lockstep's arrays. Its network, ``strat``, ``counts`` and
-    stream stay its own, so evolution events and samples run on the member
-    unchanged. The arrays and the round's work buffers are sized for the
-    first members; :meth:`keep` lays fewer out again in their front parts.
+    While a population is a member, its ``pay``, ``mem``, pair codes,
+    ``strat`` and ``counts`` are views into the lockstep's arrays: ``strat``
+    at the member's node offset ``first[i]``, ``counts`` at ``i * k`` for k
+    strategies. Its network and stream stay its own, so evolution events and
+    samples run on the member unchanged, or on all members at once through
+    the union's CSR arrays ``indptr``, ``nbr`` and ``eid`` and its
+    ``degrees`` and ``_code_step`` (see ``evolution``). The arrays and the
+    round's work buffers are sized for the first members; :meth:`keep` lays
+    fewer out again in their front parts.
     """
 
     def __init__(self, members) -> None:
@@ -235,6 +239,7 @@ class Lockstep:
             raise ValueError("lockstep members must share one strategy table")
         n = sum(pop.n for pop, _ in members)
         e = sum(pop.net.num_edges for pop, _ in members)
+        self.strategies = first.strategies
         self._coop_u, self._coop_v = first._coop_u, first._coop_v
         self._space = (
             np.empty(n),  # payoffs
@@ -242,6 +247,12 @@ class Lockstep:
             np.empty(e, dtype=np.int16),  # pair codes
             np.empty(e, dtype=np.int64),  # lower endpoints
             np.empty(e, dtype=np.int64),  # higher endpoints
+            np.empty(n, dtype=np.int64),  # strategies
+            np.empty(len(members) * len(first.strategies), dtype=np.int64),  # class counts
+            np.zeros(n + 1, dtype=np.int64),  # CSR row starts
+            np.empty(2 * e, dtype=np.int64),  # CSR neighbours
+            np.empty(2 * e, dtype=np.int64),  # CSR edge ids
+            np.empty(2 * e, dtype=np.int16),  # CSR pair-code steps
             *_round_buffers(e),
         )
         self._pops: list[Population] = []
@@ -263,25 +274,41 @@ class Lockstep:
         kept = {id(pop) for pop, _ in members}
         for pop in self._pops:
             if id(pop) not in kept:
-                pop.pay, pop.mem, pop._code = pop.pay.copy(), pop.mem.copy(), pop._code.copy()
-        pay, mem, code, eu, ev, draws, prob, coop, idx = self._space
+                for name in ("pay", "mem", "_code", "strat", "counts"):
+                    setattr(pop, name, getattr(pop, name).copy())
+        pay, mem, code, eu, ev, strat, counts, indptr, nbr, eid, step, *work = self._space
+        k = len(self.strategies)
         n = e = 0
-        self._slices = []
-        for pop, rng in members:
+        self._slices, first = [], []
+        for i, (pop, rng) in enumerate(members):
             hi_n, hi_e = n + pop.n, e + pop.net.num_edges
             # a member only ever moves to the front, so it never lands on a
             # later one before that one has moved
             pay[n:hi_n] = pop.pay
             mem[e:hi_e] = pop.mem
             code[e:hi_e] = pop._code
+            strat[n:hi_n] = pop.strat
+            counts[i * k : (i + 1) * k] = pop.counts
             pop.pay, pop.mem, pop._code = pay[n:hi_n], mem[e:hi_e], code[e:hi_e]
+            pop.strat, pop.counts = strat[n:hi_n], counts[i * k : (i + 1) * k]
             np.add(pop._eu, n, out=eu[e:hi_e])
             np.add(pop._ev, n, out=ev[e:hi_e])
+            p_indptr, p_nbr, p_eid = pop.net.csr()
+            np.add(p_indptr[1:], 2 * e, out=indptr[n + 1 : hi_n + 1])
+            np.add(p_nbr, n, out=nbr[2 * e : 2 * hi_e])
+            np.add(p_eid, e, out=eid[2 * e : 2 * hi_e])
+            step[2 * e : 2 * hi_e] = pop._code_step
             self._slices.append((rng, e, hi_e))
+            first.append(n)
             n, e = hi_n, hi_e
         self._pops, self.n, self._net = [pop for pop, _ in members], n, None
+        self.first = np.array(first, dtype=np.int64)
         self.pay, self.mem, self._code = pay[:n], mem[:e], code[:e]
+        self.strat, self.counts = strat[:n], counts[: len(members) * k]
         self._eu, self._ev = eu[:e], ev[:e]
+        self.indptr, self.nbr, self.eid = indptr[: n + 1], nbr[: 2 * e], eid[: 2 * e]
+        self._code_step, self.degrees = step[: 2 * e], np.diff(self.indptr)
+        draws, prob, coop, idx = work
         self._buffers = (draws[: 2 * e], prob[:e], coop[: 2 * e], idx[:e])
 
     def random(self, out: np.ndarray) -> None:
@@ -449,29 +476,37 @@ def settle(pop: Population, nodes=None) -> None:
     od.paid += (eu, ev)
 
 
-def settle_around(pop: Population, centres) -> None:
+def settle_around(pop: Population, centres, pos=None) -> None:
     """Settle every edge an event at any of ``centres`` reads, in one settle.
 
     That is every edge of every neighbour of a centre, which includes the
     centres' own edges. Afterwards a settle of any centre or neighbour alone
-    returns at once until the clock moves. A no-op on the dense path.
+    returns at once until the clock moves. ``pos``, the centres' CSR
+    positions from :func:`_rows`, spares a caller that has them computing
+    them again. A no-op on the dense path.
     """
     od = pop._on_demand
     if od is None:
         return
     indptr, nbr, _ = pop.net.csr()
-    settle(pop, _gather(nbr, indptr, centres))
+    settle(pop, _gather(nbr, indptr, centres) if pos is None else nbr[pos])
     od.marked[centres] = pop.clock - od.full
 
 
 # Up to this many nodes are handled one at a time, more in one vectorised
-# pass whose fixed cost only more nodes repay: CSR rows gathered here, and a
-# death-birth step's events (evolution.moran_event). On BA(20000, 2), 2 nodes
-# cost ~5 µs by slices and ~10 µs vectorised, 4 to 8 nodes about the same
-# either way, and the 68 neighbours of one 20-death step ~78 µs by slices
-# and ~16 µs vectorised. The events of 2 deaths cost ~30 µs one at a time
-# and ~65 µs batched, of 6 to 8 deaths about the same either way, and of 20
-# deaths ~370 µs one at a time and ~130 µs batched.
+# pass whose fixed cost only more nodes repay: CSR rows gathered here, a
+# death-birth step's events (evolution.moran_event), and the events of the
+# live replicates of a lockstep, one node each (evolution.run_replicates).
+# On BA(20000, 2), 2 nodes cost ~5 µs by slices and ~10 µs vectorised, 4 to
+# 8 nodes about the same either way, and the 68 neighbours of one 20-death
+# step ~78 µs by slices and ~16 µs vectorised. The events of 2 deaths cost
+# ~30 µs one at a time and ~65 µs batched, of 6 to 8 deaths about the same
+# either way, and of 20 deaths ~370 µs one at a time and ~130 µs batched.
+# Per replicate-step of a whole run on n = 200 (2-core host whose speed
+# drifted ~40% between runs; µs, one at a time -> one pass): death-birth on
+# BA m=2 breaks even near 5 live replicates (4: 21.4 -> 23.8, 8: 17.8 ->
+# 15.5, 16: 20.9 -> 14.9), adoption on BA m=1 near 10 (4: 17.1 -> 21.1,
+# 8: 16.2 -> 18.1, 10: 14.4 -> 13.7, 12: 15.3 -> 14.3).
 _FEW_NODES = 8
 
 

@@ -23,21 +23,26 @@ so a replicate's record is bit-identical to a run() of it alone. Rounds are
 played one of two ways, chosen by input size (see :func:`uses_on_demand`).
 The dense path plays every edge every step with ``engine.play_step``: one
 call for all live replicates, on their ``engine.Lockstep``, which is laid
-out again without a replicate once it is extinct. The on-demand path, which
-takes one replicate, plays an edge only when an event, a sample or a
-strategy change reads it (``engine.on_demand``), and settles once per
-step: an adoption event settles its two nodes, and run() draws a
-death-birth step's deaths first and settles every edge they read in one
-``engine.settle_around``. The step's events then run in one
-:func:`moran_event` call, a vectorised pass for each run of deaths that do
-not interact, with the same effect and draws as one event per death in
-draw order. On BA(20000, 2) at replacement rate 0.001 (20 deaths) that
-step costs ~0.32 ms instead of the dense ~1.1 ms; see the table at
-ON_DEMAND_EDGES_PER_STEP. Both paths are deterministic for a seed, but
-they consume the seed's stream differently, so the same seed gives a
-different (equally distributed) run on each. On PCG64 one array draw of k
-deaths gives the numbers of k scalar draws, so an on-demand step with one
-death draws the same stream as one ``moran_event(pop, rng)`` call.
+out again without a replicate once it is extinct. While more than
+``engine._FEW_NODES`` replicates are live, a step's events run as one
+vectorised pass over the lockstep's union per event index
+(:func:`_replace_members`, :func:`_adopt_members`), each replicate still
+drawing from its own stream in the order of its own events; fewer run one
+event at a time. The on-demand path, which takes one replicate, plays an
+edge only when an event, a sample or a strategy change reads it
+(``engine.on_demand``), and settles once per step: an adoption event
+settles its two nodes, and run() draws a death-birth step's deaths first
+and hands them to one :func:`moran_event` call, which settles every edge
+they read in one ``engine.settle_around`` and runs a vectorised pass for
+each run of deaths that do not interact, with the same effect and draws
+as one event per death in draw order. On BA(20000, 2) at replacement rate
+0.001 (20 deaths) that step costs ~0.32 ms instead of the dense ~1.1 ms;
+see the table at ON_DEMAND_EDGES_PER_STEP. Both paths are deterministic
+for a seed, but they consume the seed's stream differently, so the same
+seed gives a different (equally distributed) run on each. On PCG64 one
+array draw of k deaths gives the numbers of k scalar draws, so an
+on-demand step with one death draws the same stream as one
+``moran_event(pop, rng)`` call.
 """
 
 from __future__ import annotations
@@ -138,9 +143,9 @@ def _neighbors(pop: Population, x: int) -> np.ndarray:
     return nbr[lo:hi]
 
 
-def _fitness(pop: Population, nodes: np.ndarray) -> np.ndarray:
+def _fitness(pay: np.ndarray, degrees: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Fitness of ``nodes``: payoff divided by degree, floored at 0; defined here only."""
-    return np.maximum(pop.pay[nodes] / pop.net.degrees[nodes], 0.0)
+    return np.maximum(pay[nodes] / degrees[nodes], 0.0)
 
 
 def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
@@ -148,16 +153,17 @@ def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
 
     The total fitness is the last cumulative weight, not a separate sum:
     numpy's pairwise ``sum`` can differ from the sequential sum in the last
-    bits, and :func:`_replace_all` takes each row's total from a row-wise
-    cumsum. The neighbors' edges must be settled already.
+    bits, and :func:`_cumulative_fitness` takes each row's total from a
+    row-wise cumsum. The neighbors' edges must be settled already.
     """
     nbrs = _neighbors(pop, x)
     # array methods, not np.cumsum / np.searchsorted: same numbers, without
-    # the Python wrappers those add to every call
-    c = _fitness(pop, nbrs).cumsum()
+    # the Python wrappers those add to every call. Likewise every event draws
+    # integers(0, n), the numbers of integers(n) ~1 µs a call sooner (numpy 2.4)
+    c = _fitness(pop.pay, pop.net.degrees, nbrs).cumsum()
     tot = c[-1]
     if tot <= 0.0:
-        return int(nbrs[rng.integers(len(nbrs))])
+        return int(nbrs[rng.integers(0, len(nbrs))])
     idx = int(c.searchsorted(rng.random() * tot, side="right"))
     if idx >= len(nbrs):
         idx = len(nbrs) - 1
@@ -172,19 +178,21 @@ def moran_event(
     Without ``x`` one event draws the node to replace and settles the edges
     it reads. With ``x`` the caller has drawn it and settled those edges
     (see :func:`netgames.engine.settle_around`). ``x`` may also be an array
-    of a step's deaths, settled at once, as run() passes on the on-demand
-    path; the result is then (deaths, parents) as arrays, bit-identical in
-    every effect to one call per death in draw order. Up to
-    ``engine._FEW_NODES`` deaths run one event at a time, more as
-    :func:`_replace_all`, whose fixed cost only more deaths repay.
+    of a step's deaths, drawn by the caller, as run() passes on the
+    on-demand path; every edge they read is then settled at once, and the
+    result is (deaths, parents) as arrays, bit-identical in every effect to
+    one call per death in draw order. Up to ``engine._FEW_NODES`` deaths
+    run one event at a time, more as :func:`_replace_all`, whose fixed cost
+    only more deaths repay.
     """
     if x is None:
-        x = int(rng.integers(pop.n))
+        x = int(rng.integers(0, pop.n))
         settle_around(pop, [x])
     elif np.ndim(x):
         deaths = np.asarray(x, dtype=np.intp)
         if len(deaths) > _FEW_NODES:
             return deaths, _replace_all(pop, rng, deaths)
+        settle_around(pop, deaths)
         return deaths, np.array([_replace(pop, rng, v) for v in deaths.tolist()], dtype=np.intp)
     return x, _replace(pop, rng, x)
 
@@ -197,26 +205,73 @@ def _replace(pop: Population, rng: np.random.Generator, x: int) -> int:
     return y
 
 
-def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) -> np.ndarray:
-    """:func:`_replace` of each settled death in draw order; returns the parents.
+def _cumulative_fitness(
+    pay: np.ndarray, degrees: np.ndarray, nb: np.ndarray, deg: np.ndarray
+) -> np.ndarray:
+    """Rows of cumulative neighbour fitness, one per node whose row lengths are ``deg``.
 
-    The deaths go in runs. A run ends before a death that equals or
-    neighbours an earlier death of the run, so no event of a run reads what
-    an earlier one wrote (a replaced node's payoff and strategy), and each
-    run is one vectorised pass: its rows' weights in one gather, their
-    cumulative sums in one zero-padded ``cumsum(axis=1)`` (bit-equal to each
-    row's own), its parents drawn by one ``rng.random`` over the rows (on
-    PCG64 the numbers of one draw per row) with each zero-fitness row's
+    ``nb`` holds the nodes' neighbours, row after row. The rows are
+    zero-padded to one width, which leaves each row's cumsum bit-equal to
+    the one :func:`_select_neighbor` takes of it, and the last column holds
+    each row's total.
+    """
+    width = deg.max()
+    c = np.zeros((len(deg), width))
+    c[np.arange(width) < deg[:, None]] = _fitness(pay, degrees, nb)
+    return c.cumsum(axis=1, out=c)
+
+
+def _columns(c: np.ndarray, u: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Each row's fitness-drawn column for its uniform ``u`` (scaled in place).
+
+    A row's count of cumulative weights <= u * total is the index
+    :func:`_select_neighbor` searches for, capped at the row's last entry.
+    """
+    u *= c[:, -1]
+    return np.minimum((c <= u[:, None]).sum(axis=1), deg - 1)
+
+
+def _write_back(pop, x, new, pos, deg, eid, slot=0) -> None:
+    """:func:`set_strategy` of distinct settled nodes ``x`` to ``new``, then :func:`reset_node`.
+
+    ``pop`` is a population, or a :class:`netgames.engine.Lockstep` whose
+    ``counts`` hold each member's class counts at ``slot``; ``pos`` and
+    ``deg`` are x's CSR positions and row lengths (``engine._rows``) in the
+    CSR whose edge ids are ``eid``.
+    """
+    old = pop.strat[x]
+    size = len(pop.counts)
+    pop.counts += np.bincount(slot + new, minlength=size)
+    pop.counts -= np.bincount(slot + old, minlength=size)
+    pop.strat[x] = new
+    edges = eid[pos]
+    pop._code[edges] += (new - old).astype(np.int16).repeat(deg) * pop._code_step[pos]
+    pop.pay[x] = 0.0
+    pop.mem[edges] = UNPLAYED
+
+
+def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) -> np.ndarray:
+    """:func:`_replace` of each death in draw order; returns the parents.
+
+    First settles every edge the deaths read, in one
+    :func:`netgames.engine.settle_around` on their CSR rows (a no-op on the
+    dense path). The deaths then go in runs. A run ends before a death that
+    equals or neighbours an earlier death of the run, so no event of a run
+    reads what an earlier one wrote (a replaced node's payoff and strategy),
+    and each run is one vectorised pass: its parents chosen from its rows'
+    :func:`_cumulative_fitness`, drawn by one ``rng.random`` over the rows
+    (on PCG64 the numbers of one draw per row) with each zero-fitness row's
     ``rng.integers(degree)`` taken in its place in the stream, and its
-    writes in one gather over the deaths' CSR rows. The conflicts are found
-    once per step, by one sorted search over the deaths' rows, so the work
-    grows with the step's deaths and their edges, not with their square. An
-    isolated death raises IsolatedNode before any event.
+    writes one :func:`_write_back`. The conflicts are found once per step,
+    by one sorted search over the deaths' rows, so the work grows with the
+    step's deaths and their edges, not with their square. An isolated death
+    raises IsolatedNode before any event.
     """
     indptr, nbr, eid = pop.net.csr()
     pos, deg = _rows(indptr, deaths)
     if not deg.all():
         raise IsolatedNode(f"node {deaths[deg.argmin()]} has no neighbors")
+    settle_around(pop, deaths, pos)
     nb = nbr[pos]
     k = len(deaths)
     ends = deg.cumsum()
@@ -239,42 +294,51 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
             bounds.append(i)
     bounds.append(k)
 
-    strat, code_step = pop.strat, pop._code_step
+    degrees = pop.net.degrees
     parents = np.empty(k, dtype=nbr.dtype)
     for s, e in zip(bounds, bounds[1:]):
         lo, hi, d = starts[s], ends[e - 1], deg[s:e]
-        width = d.max()
-        # rows zero-padded to one width: padding leaves each row's cumsum
-        # bit-equal to its own, and the last column holds its total
-        c = np.zeros((e - s, width))
-        c[np.arange(width) < d[:, None]] = _fitness(pop, nb[lo:hi])
-        c.cumsum(axis=1, out=c)
-        tot = c[:, -1]
+        c = _cumulative_fitness(pop.pay, degrees, nb[lo:hi], d)
         u = np.zeros(e - s)
         at, uniform = 0, []
-        zero = (tot <= 0.0).nonzero()[0]
+        zero = (c[:, -1] <= 0.0).nonzero()[0]
         for z in zero.tolist():
             rng.random(out=u[at:z])
-            uniform.append(rng.integers(d[z]))
+            uniform.append(rng.integers(0, d[z]))
             at = z + 1
         rng.random(out=u[at:])
-        u *= tot
-        # a row's count of cumulative weights <= u is its searchsorted index
-        col = np.minimum((c <= u[:, None]).sum(axis=1), d - 1)
+        col = _columns(c, u, d)
         col[zero] = uniform
         y = nb[starts[s:e] + col]
-        x = deaths[s:e]
-        new, old = strat[y], strat[x]
-        pop.counts += np.bincount(new, minlength=len(pop.counts))
-        pop.counts -= np.bincount(old, minlength=len(pop.counts))
-        strat[x] = new
-        p = pos[lo:hi]
-        edges = eid[p]
-        pop._code[edges] += (new - old).astype(np.int16).repeat(d) * code_step[p]
-        pop.pay[x] = 0.0
-        pop.mem[edges] = UNPLAYED
+        _write_back(pop, deaths[s:e], pop.strat[y], pos[lo:hi], d, eid)
         parents[s:e] = y
     return parents
+
+
+def _replace_members(lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list) -> None:
+    """One death-birth event of each of the lockstep's members ``rows``.
+
+    One pass over the lockstep's union, bit-identical in every effect to
+    :func:`moran_event` on each member alone: member ``rows[i]``, of
+    ``sizes[i]`` nodes, draws its death, then its parent's uniform (or, at a
+    zero-fitness row, its neighbour's index), from ``rngs[i]`` in that order,
+    and the members' events, on disjoint graphs, cannot read each other's
+    writes.
+    """
+    drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
+    x = lock.first[rows] + drawn
+    pos, deg = _rows(lock.indptr, x)
+    if not deg.all():
+        raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
+    nb = lock.nbr[pos]
+    c = _cumulative_fitness(lock.pay, lock.degrees, nb, deg)
+    tot = c[:, -1]
+    u = np.array([rng.random() if t > 0.0 else 0.0 for rng, t in zip(rngs, tot.tolist())])
+    col = _columns(c, u, deg)
+    for i in (tot <= 0.0).nonzero()[0].tolist():
+        col[i] = rngs[i].integers(0, deg[i])
+    y = nb[deg.cumsum() - deg + col]
+    _write_back(lock, x, lock.strat[y], pos, deg, lock.eid, rows * len(lock.strategies))
 
 
 def adoption_probability(
@@ -299,9 +363,9 @@ def adoption_event(
     off pockets of the losing strategy indefinitely; the uniform draw keeps
     the update local and lets the payoff gap alone decide.
     """
-    x = int(rng.integers(pop.n))
+    x = int(rng.integers(0, pop.n))
     nbrs = _neighbors(pop, x)
-    y = int(nbrs[rng.integers(len(nbrs))])
+    y = int(nbrs[rng.integers(0, len(nbrs))])
     settle(pop, (x, y))
     p = adoption_probability(
         float(pop.pay[x]),
@@ -315,6 +379,38 @@ def adoption_event(
         set_strategy(pop, x, int(pop.strat[y]))
         reset_node(pop, x)
     return x, y, adopted
+
+
+def _adopt_members(
+    lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list, cfg: AdoptionConfig
+) -> None:
+    """One adoption event of each of the lockstep's members ``rows``.
+
+    One pass over the lockstep's union, bit-identical in every effect to
+    :func:`adoption_event` on each member alone: member ``rows[i]``, of
+    ``sizes[i]`` nodes, draws its marked node, its neighbour's index and its
+    acceptance uniform from ``rngs[i]`` in that order, and the members'
+    events, on disjoint graphs, cannot read each other's writes.
+    """
+    drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
+    x = lock.first[rows] + drawn
+    deg = lock.degrees[x]
+    if not deg.all():
+        raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
+    deg = deg.tolist()
+    y = lock.nbr[lock.indptr[x] + [rng.integers(0, d) for rng, d in zip(rngs, deg)]]
+    normalizer = cfg.effective_normalizer
+    adopted = [
+        rng.random() < adoption_probability(*args, normalizer)
+        for rng, *args in zip(
+            rngs, lock.pay[x].tolist(), lock.pay[y].tolist(), deg, lock.degrees[y].tolist()
+        )
+    ]
+    if any(adopted):
+        at = np.flatnonzero(adopted)
+        x, y, slot = x[at], y[at], rows[at] * len(lock.strategies)
+        pos, count = _rows(lock.indptr, x)
+        _write_back(lock, x, lock.strat[y], pos, count, lock.eid, slot)
 
 
 def uses_on_demand(num_edges: int, sample_every: int) -> bool:
@@ -410,6 +506,27 @@ class _Replicate:
         )
 
 
+def _member_passes(live: list) -> list:
+    """A step's event passes over the live replicates' lockstep, in order.
+
+    More than ``engine._FEW_NODES`` live replicates run each step's events
+    as one vectorised pass per event index: the member rows, streams and
+    sizes of the replicates with that many events per step. Fewer run one
+    event at a time, and get no passes.
+    """
+    if len(live) <= _FEW_NODES:
+        return []
+    events = np.array([rep.events for rep in live])
+    return [
+        (
+            np.flatnonzero(events > j),
+            [rep.rng for rep in live if rep.events > j],
+            [rep.pop.n for rep in live if rep.events > j],
+        )
+        for j in range(events.max())
+    ]
+
+
 def run_replicates(
     pops,
     process: str,
@@ -424,18 +541,23 @@ def run_replicates(
     """:func:`run` of each population, all advanced together step by step.
 
     Population i runs with seed ``seeds[i]`` and is reported as
-    ``run_ids[i]``. On the dense path the live populations'
-    rounds are one :func:`netgames.engine.play_step` on their
+    ``run_ids[i]``; each population may be passed once. On the dense path
+    the live populations' rounds are one
+    :func:`netgames.engine.play_step` on their
     :class:`netgames.engine.Lockstep`, laid out again from the live ones
-    whenever one goes extinct; each still draws from its own stream in the
-    order it would alone, so its record is bit-identical to that of
-    :func:`run` on it alone. The on-demand path takes one population.
+    whenever one goes extinct, and while more than ``engine._FEW_NODES``
+    are live their events are one pass over it per event index; each still
+    draws from its own stream in the order it would alone, so its record is
+    bit-identical to that of :func:`run` on it alone. The on-demand path
+    takes one population.
     """
     pops = list(pops)
     seeds = list(seeds)
     run_ids = list(run_ids)
     if not pops or len(seeds) != len(pops) or len(run_ids) != len(pops):
         raise ValueError("need at least one population, each with one seed and one run id")
+    if len({id(pop) for pop in pops}) < len(pops):
+        raise ValueError("a population is passed more than once; each replicate needs its own")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if sample_every < 1:
@@ -470,7 +592,7 @@ def run_replicates(
         live = []
         for rep in reps:
             rep.record(0, focal_index)
-            if rep.pop.counts[focal_index] == 0 or rep.pop.counts[other] == 0:
+            if not rep.pop.counts.all():
                 rep.extinct_at = 0
             else:
                 live.append(rep)
@@ -478,6 +600,7 @@ def run_replicates(
             union = source = Lockstep((r.pop, r.rng) for r in live)
         elif live:
             union, source = live[0].pop, live[0].rng
+        passes = _member_passes(live)
         next_k = 1
         for t in range(1, steps + 1 if live else 1):
             if lazy:
@@ -485,9 +608,12 @@ def run_replicates(
             else:
                 union.pay[:] = 0.0
                 play_step(union, m, source)
-            sample = next_k < k_samples and t == sample_steps[next_k]
-            dropped = False
-            for rep in live:
+            for rows, rngs, sizes in passes:
+                if process == "moran":
+                    _replace_members(union, rows, rngs, sizes)
+                else:
+                    _adopt_members(union, rows, rngs, sizes, cfg)
+            for rep in () if passes else live:
                 pop, rng = rep.pop, rep.rng
                 if process != "moran":
                     adoption_event(pop, cfg, rng)
@@ -495,29 +621,31 @@ def run_replicates(
                     # deaths are uniform and independent of the payoffs, so
                     # drawing them first and settling every edge they read
                     # at once leaves the process unchanged
-                    deaths = rng.integers(pop.n, size=rep.events)
-                    settle_around(pop, deaths)
-                    moran_event(pop, rng, deaths)
+                    moran_event(pop, rng, rng.integers(pop.n, size=rep.events))
                 else:
                     for _ in range(rep.events):
                         moran_event(pop, rng)
-                if sample:
+            if next_k < k_samples and t == sample_steps[next_k]:
+                for rep in live:
                     rep.record(next_k, focal_index)
-                if pop.counts[focal_index] == 0 or pop.counts[other] == 0:
-                    rep.extinct_at = t
-                    dropped = True
-            if sample:
                 next_k += 1
-            if dropped:
-                live = [rep for rep in live if rep.extinct_at is None]
-                if len(live) > 1:
-                    union.keep((r.pop, r.rng) for r in live)
-                elif live:
-                    # the last one plays alone, on its views of the lockstep's
-                    # arrays, which nothing else writes any more
-                    union, source = live[0].pop, live[0].rng
-                else:
-                    break
+            # the live replicates' class counts lie side by side in the
+            # lockstep's array (or the last one's own): a zero is an extinction
+            if union.counts.all():
+                continue
+            for rep in live:
+                if not rep.pop.counts.all():
+                    rep.extinct_at = t
+            live = [rep for rep in live if rep.extinct_at is None]
+            if len(live) > 1:
+                union.keep((r.pop, r.rng) for r in live)
+            elif live:
+                # the last one plays alone, on its views of the lockstep's
+                # arrays, which nothing else writes any more
+                union, source = live[0].pop, live[0].rng
+            else:
+                break
+            passes = _member_passes(live)
 
     records = []
     for rep, seed, run_id in zip(reps, seeds, run_ids):

@@ -481,8 +481,10 @@ def _execute_batch(s: Scenario, runs_dir: Path, tasks) -> list[RunRecord]:
 
 
 # replicates that play densely run in batches whose networks together hold
-# at most this many edges, one lockstep round per step: at n = 200 a round
-# costs mostly per-call overhead, which a batch of 20 pays once
+# at most this many edges, one lockstep round per step, and while more than
+# engine._FEW_NODES are live one event pass per event index: at n = 200 a
+# round and an event cost mostly per-call overhead, which a batch of 20
+# pays once
 _LOCKSTEP_EDGES = 20_000
 
 

@@ -33,7 +33,7 @@ from netgames.evolution import (
     _select_neighbor,
 )
 from netgames.networks import Network, barabasi_albert, complete_graph, regular_random
-from netgames.strategies import DEFAULT_MATRIX, named_strategy
+from netgames.strategies import DEFAULT_MATRIX, PayoffMatrix, named_strategy
 
 from conftest import connected_graphs
 
@@ -458,21 +458,28 @@ class TestRun:
 
 
 class TestRunReplicates:
-    def _pops(self):
+    def _pops(self, size):
         nets = [regular_random(30, 4, seed=50), barabasi_albert(24, 2, seed=51),
                 regular_random(30, 4, seed=50), barabasi_albert(40, 1, seed=52)]
-        return [init_random(net, ZD, PAVLOV, 0.5, seed=53 + i) for i, net in enumerate(nets)]
+        return [init_random(nets[i % 4], ZD, PAVLOV, 0.5, seed=53 + i) for i in range(size)]
 
-    @pytest.mark.parametrize("process", ["moran", "adoption"])
-    def test_records_match_runs_alone(self, process):
+    # 4 replicates run their events one at a time; 12, more than
+    # engine._FEW_NODES, in one pass over their lockstep until 4 are extinct
+    @pytest.mark.parametrize("process,size", [
+        pytest.param("moran", 4, id="moran"),
+        pytest.param("adoption", 4, id="adoption"),
+        pytest.param("moran", 12, id="moran-12"),
+        pytest.param("adoption", 12, id="adoption-12"),
+    ])
+    def test_records_match_runs_alone(self, process, size):
         # networks of different sizes; replicates die at different steps,
         # so the lockstep is laid out again mid-run
         cfg = MoranConfig(0.1) if process == "moran" else AdoptionConfig.for_pair(ZD, PAVLOV, M)
-        seeds = [60, 61, 62, 63]
+        seeds = range(60, 60 + size)
         alone = [run(pop, process, 600, M, cfg, seed, 50, run_id)
-                 for run_id, (pop, seed) in enumerate(zip(self._pops(), seeds))]
-        pops = self._pops()
-        together = run_replicates(pops, process, 600, M, cfg, seeds, range(4), 50)
+                 for run_id, (pop, seed) in enumerate(zip(self._pops(size), seeds))]
+        pops = self._pops(size)
+        together = run_replicates(pops, process, 600, M, cfg, seeds, range(size), 50)
         assert len({r.extinct_at for r in alone}) > 2
         for a, b, pop in zip(alone, together, pops):
             for name, x in vars(a).items():
@@ -485,7 +492,107 @@ class TestRunReplicates:
     def test_on_demand_path_takes_one_population(self, monkeypatch):
         monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0)
         with pytest.raises(ValueError, match="one population"):
-            run_replicates(self._pops(), "moran", 10, M, MoranConfig(), [1, 2, 3, 4], range(4))
+            run_replicates(self._pops(4), "moran", 10, M, MoranConfig(), [1, 2, 3, 4], range(4))
+
+    def test_a_population_passed_twice_is_refused(self):
+        # both entries would be one lockstep member's views, written twice a step
+        pop = init_random(barabasi_albert(50, 2, seed=54), ZD, PAVLOV, 0.5, seed=55)
+        with pytest.raises(ValueError, match="more than once"):
+            run_replicates([pop, pop], "moran", 300, M, MoranConfig(0.1), [5, 6], [0, 1])
+
+
+class TestMemberPass:
+    # More than engine._FEW_NODES live dense replicates run a step's events
+    # as one pass over their lockstep. Three graph shapes: n 30, 24 and 40
+    # give 3, 2 and 4 deaths a step at rate 0.1. A negative sucker's payoff
+    # lets a whole neighbourhood have fitness 0, whose parent is drawn by
+    # integers(degree) in the uniform's place.
+    NEG = PayoffMatrix(t=4.0, r=2.0, p=0.0, s=-1.0)
+
+    def _pops(self, lonely=False):
+        nets = [regular_random(30, 4, seed=80), barabasi_albert(24, 2, seed=81),
+                barabasi_albert(40, 1, seed=82)]
+        pops = [init_random(nets[i % 3], ZD, PAVLOV, 0.5, seed=83 + i) for i in range(12)]
+        if lonely:  # the last member: nodes 6 to 9 have no neighbours
+            net = Network(10, [(v, v + 1) for v in range(5)])
+            pops[-1] = Population(net, (ZD, PAVLOV), np.arange(10) % 2)
+        return pops
+
+    def _cfg(self, process):
+        if process == "moran":
+            return MoranConfig(0.1)
+        return AdoptionConfig.for_pair(ZD, PAVLOV, self.NEG)
+
+    @pytest.mark.parametrize("process", ["moran", "adoption"])
+    def test_pass_leaves_every_replicate_as_run_alone(self, monkeypatch, process):
+        made = []  # each run's replicates, for their streams
+        init = evolution._Replicate.__init__
+
+        def keep(rep, *args):
+            init(rep, *args)
+            made.append(rep)
+
+        monkeypatch.setattr(evolution._Replicate, "__init__", keep)
+        seeds = range(90, 102)
+        cfg = self._cfg(process)
+        alone_pops = self._pops()
+        alone = [run(pop, process, 400, self.NEG, cfg, seed, 20, i)
+                 for i, (pop, seed) in enumerate(zip(alone_pops, seeds))]
+        alone_rngs = [rep.rng for rep in made]
+        made.clear()
+
+        calls = {"pass": 0, "zero rows": 0, "one at a time": 0}
+        member_pass = evolution._replace_members if process == "moran" else evolution._adopt_members
+        one_event = evolution.moran_event if process == "moran" else evolution.adoption_event
+        columns = evolution._columns
+
+        def count_pass(*args):
+            calls["pass"] += 1
+            return member_pass(*args)
+
+        def count_event(*args):
+            calls["one at a time"] += 1
+            return one_event(*args)
+
+        def count_zero_rows(c, u, deg):
+            calls["zero rows"] += int((c[:, -1] <= 0.0).sum())
+            return columns(c, u, deg)
+
+        monkeypatch.setattr(evolution, member_pass.__name__, count_pass)
+        monkeypatch.setattr(evolution, one_event.__name__, count_event)
+        monkeypatch.setattr(evolution, "_columns", count_zero_rows)
+        pops = self._pops()
+        together = run_replicates(pops, process, 400, self.NEG, cfg, seeds, range(12), 20)
+
+        # staggered extinctions: the pass runs until the fourth, events one
+        # at a time after it, and at least one replicate outlives both
+        extinct = sorted(r.extinct_at for r in together if r.extinct_at is not None)
+        assert len(set(extinct)) == len(extinct) >= 4
+        assert calls["pass"] and calls["one at a time"]
+        if process == "moran":
+            assert calls["zero rows"]
+        for a, b in zip(alone, together):
+            for name, x in vars(a).items():
+                y = getattr(b, name)
+                if isinstance(x, np.ndarray):
+                    assert x.tobytes() == y.tobytes(), name
+                else:
+                    assert x == y or (x != x and y != y), name
+        for a, b, ra, rb in zip(alone_pops, pops, alone_rngs, [rep.rng for rep in made]):
+            for name in ("strat", "counts", "pay", "mem", "_code"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize("process", ["moran", "adoption"])
+    def test_isolated_node_named_by_its_members_index(self, process):
+        # the lonely member is laid out last, far from node 0 of the union
+        seeds = range(90, 102)
+        cfg = self._cfg(process)
+        with pytest.raises(IsolatedNode) as alone:
+            run(self._pops(lonely=True)[-1], process, 400, self.NEG, cfg, seeds[-1])
+        assert str(alone.value) in {f"node {v} has no neighbors" for v in range(6, 10)}
+        with pytest.raises(IsolatedNode, match=f"^{alone.value}$"):
+            run_replicates(self._pops(lonely=True), process, 400, self.NEG, cfg, seeds, range(12))
 
 
 class TestNeutralDrift:
@@ -584,13 +691,15 @@ class TestOnDemandPath:
 
     @pytest.mark.parametrize("rate", [0.01, 0.1, 1.0])
     def test_batched_steps_give_the_records_of_one_event_per_death(self, monkeypatch, rate):
-        # run() hands moran_event a step's deaths at once; the same run with
-        # one call per death must give the same record and final population
+        # run() hands moran_event a step's deaths at once, which it settles
+        # around; the same run with one settle around them and one call per
+        # death must give the same record and final population
         net = barabasi_albert(2000, 2, seed=44)
         assert uses_on_demand(net.num_edges, 5)
         batched = moran_event
 
         def one_by_one(pop, rng, x=None):
+            settle_around(pop, x)
             for d in np.atleast_1d(x).tolist():
                 batched(pop, rng, d)
 
