@@ -608,23 +608,25 @@ def run_replicates(
             else:
                 union.pay[:] = 0.0
                 play_step(union, m, source)
-            for rows, rngs, sizes in passes:
-                if process == "moran":
-                    _replace_members(union, rows, rngs, sizes)
-                else:
-                    _adopt_members(union, rows, rngs, sizes, cfg)
-            for rep in () if passes else live:
-                pop, rng = rep.pop, rep.rng
-                if process != "moran":
-                    adoption_event(pop, cfg, rng)
-                elif lazy:
-                    # deaths are uniform and independent of the payoffs, so
-                    # drawing them first and settling every edge they read
-                    # at once leaves the process unchanged
-                    moran_event(pop, rng, rng.integers(pop.n, size=rep.events))
-                else:
-                    for _ in range(rep.events):
-                        moran_event(pop, rng)
+            if passes:
+                for rows, rngs, sizes in passes:
+                    if process == "moran":
+                        _replace_members(union, rows, rngs, sizes)
+                    else:
+                        _adopt_members(union, rows, rngs, sizes, cfg)
+            else:
+                for rep in live:
+                    pop, rng = rep.pop, rep.rng
+                    if process != "moran":
+                        adoption_event(pop, cfg, rng)
+                    elif lazy:
+                        # deaths are uniform and independent of the payoffs,
+                        # so drawing them first and settling every edge they
+                        # read at once leaves the process unchanged
+                        moran_event(pop, rng, rng.integers(pop.n, size=rep.events))
+                    else:
+                        for _ in range(rep.events):
+                            moran_event(pop, rng)
             if next_k < k_samples and t == sample_steps[next_k]:
                 for rep in live:
                     rep.record(next_k, focal_index)
