@@ -10,10 +10,11 @@ endpoint's perspective.
 
 The round reuses work buffers kept on the Network, so it allocates nothing
 |E|-sized per call; populations sharing a network must therefore not play
-their rounds concurrently. A :class:`Lockstep` plays the rounds of several
-populations as one round on the disjoint union of their networks, in work
-buffers of its own; each member draws from its own stream, in the order its
-own round would, so every member ends bit-equal to a round of its own.
+their rounds concurrently. A :class:`Lockstep` is the population on the
+disjoint union of several populations' networks, whose arrays its members
+view, so one round of it plays all of theirs; each member draws from its
+own stream, in the order its own round would, so every member ends
+bit-equal to a round of its own.
 
 Between strategy changes and resets each edge's memory is a Markov chain,
 ``pairchain.pair_transition`` of its endpoints' strategies. The on-demand
@@ -104,21 +105,17 @@ def _edge_arrays(net: Network) -> tuple:
     """
     indptr, nbr, _ = net.csr()
     owner = np.repeat(np.arange(net.n, dtype=np.int32), np.diff(indptr))
+    e = net.num_edges
     return (
         np.ascontiguousarray(net.edges[:, 0]),
         np.ascontiguousarray(net.edges[:, 1]),
         owner < nbr,
-        _round_buffers(net.num_edges),
-    )
-
-
-def _round_buffers(e: int) -> tuple:
-    """The |E|-sized work buffers of a round over e edges."""
-    return (
-        np.empty(2 * e),  # uniform draws: all u sides, then all v sides
-        np.empty(e),  # probabilities, then payoffs, of one side
-        np.empty(2 * e, dtype=bool),  # cooperate? u sides, then v sides
-        np.empty(e, dtype=np.intp),  # table index, then outcome
+        (
+            np.empty(2 * e),  # uniform draws: all u sides, then all v sides
+            np.empty(e),  # probabilities, then payoffs, of one side
+            np.empty(2 * e, dtype=bool),  # cooperate? u sides, then v sides
+            np.empty(e, dtype=np.intp),  # table index, then outcome
+        ),
     )
 
 
@@ -179,8 +176,9 @@ def play_step(pop: Population | Lockstep, m: PayoffMatrix, rng) -> None:
 
     Draw order is fixed (all lower-endpoint draws, then all higher-endpoint
     draws, in sorted edge order) so runs are bit-reproducible for a seed.
-    Every |E|-sized intermediate lives in reused buffers: the network's, or
-    a :class:`Lockstep`'s own. A lockstep is passed as its own ``rng``.
+    Every |E|-sized intermediate lives in the network's reused buffers (a
+    :class:`Lockstep`'s union network's). A lockstep is passed as its own
+    ``rng``.
     """
     mem = pop.mem
     num_e = len(mem)
@@ -207,109 +205,62 @@ def play_step(pop: Population | Lockstep, m: PayoffMatrix, rng) -> None:
     pop.pay += np.bincount(pop._ev, weights=prob, minlength=pop.n)
 
 
-class Lockstep:
-    """Dense populations' rounds played as one, on the disjoint union of their networks.
+class Lockstep(Population):
+    """Dense populations' rounds played as one, by a population on their networks' union.
 
     Pass it to :func:`play_step` as both the population and the stream to
-    play every member's round in one call. Each member's nodes and edges
-    follow those of the members before it, so its edges keep their order
-    and the round adds each node's payoffs in the order a round of the
-    member alone does. :meth:`random` fills each member's lower-endpoint
-    draws, then its higher-endpoint draws, from that member's own stream; on
-    PCG64 the two give the numbers of the one draw of 2|E| a round of the
-    member alone makes. So each member's ``mem`` and ``pay`` end bit-equal to
-    those of its own :func:`play_step` from the same stream state.
+    play every member's round in one call. Member i's nodes follow those of
+    the members before it, from offset ``first[i]``; the union's sorted edges
+    and its CSR rows are then each member's own, offset, so its edges keep
+    their order and the round adds each node's payoffs in the order a round
+    of the member alone does. :meth:`random` fills each member's
+    lower-endpoint draws, then its higher-endpoint draws, from that member's
+    own stream; on PCG64 the two give the numbers of the one draw of 2|E| a
+    round of the member alone makes. So each member's ``mem`` and ``pay``
+    end bit-equal to those of its own :func:`play_step` from the same stream
+    state.
 
-    While a population is a member, its ``pay``, ``mem``, pair codes,
-    ``strat`` and ``counts`` are views into the lockstep's arrays: ``strat``
-    at the member's node offset ``first[i]``, ``counts`` at ``i * k`` for k
-    strategies. Its network and stream stay its own, so evolution events and
-    samples run on the member unchanged, or on all members at once through
-    the union's CSR arrays ``indptr``, ``nbr`` and ``eid`` and its
-    ``degrees`` and ``_code_step`` (see ``evolution``). The arrays and the
-    round's work buffers are sized for the first members; :meth:`keep` lays
-    fewer out again in their front parts.
+    While a population is a member, its ``pay``, ``mem``, pair codes and
+    ``strat`` are views into the lockstep's arrays, and its ``counts`` a view
+    of slots ``i * k`` to ``(i + 1) * k`` of the lockstep's, which hold one
+    slot per member and strategy. Its network and stream stay its own, so
+    evolution events and samples run on the member unchanged, or on all
+    members at once through the union's ``net`` (see ``evolution``). So
+    :func:`set_strategy` and :func:`reset_node` go to a member, never to the
+    lockstep itself. :meth:`release` gives the members their own arrays back
+    before the lockstep is dropped.
     """
 
     def __init__(self, members) -> None:
         """``members``: (population, generator) pairs sharing one strategy table."""
         members = list(members)
-        first = members[0][0]
-        if any(pop.strategies != first.strategies for pop, _ in members):
+        pops = [pop for pop, _ in members]
+        if any(pop.strategies != pops[0].strategies for pop in pops):
             raise ValueError("lockstep members must share one strategy table")
-        n = sum(pop.n for pop, _ in members)
-        e = sum(pop.net.num_edges for pop, _ in members)
-        self.strategies = first.strategies
-        self._coop_u, self._coop_v = first._coop_u, first._coop_v
-        self._space = (
-            np.empty(n),  # payoffs
-            np.empty(e, dtype=np.int8),  # memories
-            np.empty(e, dtype=np.int16),  # pair codes
-            np.empty(e, dtype=np.int64),  # lower endpoints
-            np.empty(e, dtype=np.int64),  # higher endpoints
-            np.empty(n, dtype=np.int64),  # strategies
-            np.empty(len(members) * len(first.strategies), dtype=np.int64),  # class counts
-            np.zeros(n + 1, dtype=np.int64),  # CSR row starts
-            np.empty(2 * e, dtype=np.int64),  # CSR neighbours
-            np.empty(2 * e, dtype=np.int64),  # CSR edge ids
-            np.empty(2 * e, dtype=np.int16),  # CSR pair-code steps
-            *_round_buffers(e),
+        self.first = np.cumsum([0] + [pop.n for pop in pops[:-1]])
+        union = Network(
+            sum(pop.n for pop in pops),
+            np.concatenate([pop.net.edges + f for pop, f in zip(pops, self.first.tolist())]),
         )
-        self._pops: list[Population] = []
-        self.keep(members)
-
-    @property
-    def net(self) -> Network:
-        """The disjoint union of the members' networks, built when first read."""
-        if self._net is None:
-            self._net = Network(self.n, np.column_stack((self._eu, self._ev)))
-        return self._net
-
-    def keep(self, members) -> None:
-        """Lay out ``members``, some of the current ones in their order, again.
-
-        A population left out gets its own copies of its arrays back.
-        """
-        members = list(members)
-        kept = {id(pop) for pop, _ in members}
-        for pop in self._pops:
-            if id(pop) not in kept:
-                for name in ("pay", "mem", "_code", "strat", "counts"):
-                    setattr(pop, name, getattr(pop, name).copy())
-        pay, mem, code, eu, ev, strat, counts, indptr, nbr, eid, step, *work = self._space
+        super().__init__(union, pops[0].strategies, np.concatenate([pop.strat for pop in pops]))
+        self.counts = np.concatenate([pop.counts for pop in pops])
         k = len(self.strategies)
-        n = e = 0
-        self._slices, first = [], []
+        self._pops, self._slices = pops, []
+        e = 0
         for i, (pop, rng) in enumerate(members):
-            hi_n, hi_e = n + pop.n, e + pop.net.num_edges
-            # a member only ever moves to the front, so it never lands on a
-            # later one before that one has moved
-            pay[n:hi_n] = pop.pay
-            mem[e:hi_e] = pop.mem
-            code[e:hi_e] = pop._code
-            strat[n:hi_n] = pop.strat
-            counts[i * k : (i + 1) * k] = pop.counts
-            pop.pay, pop.mem, pop._code = pay[n:hi_n], mem[e:hi_e], code[e:hi_e]
-            pop.strat, pop.counts = strat[n:hi_n], counts[i * k : (i + 1) * k]
-            np.add(pop._eu, n, out=eu[e:hi_e])
-            np.add(pop._ev, n, out=ev[e:hi_e])
-            p_indptr, p_nbr, p_eid = pop.net.csr()
-            np.add(p_indptr[1:], 2 * e, out=indptr[n + 1 : hi_n + 1])
-            np.add(p_nbr, n, out=nbr[2 * e : 2 * hi_e])
-            np.add(p_eid, e, out=eid[2 * e : 2 * hi_e])
-            step[2 * e : 2 * hi_e] = pop._code_step
-            self._slices.append((rng, e, hi_e))
-            first.append(n)
-            n, e = hi_n, hi_e
-        self._pops, self.n, self._net = [pop for pop, _ in members], n, None
-        self.first = np.array(first, dtype=np.int64)
-        self.pay, self.mem, self._code = pay[:n], mem[:e], code[:e]
-        self.strat, self.counts = strat[:n], counts[: len(members) * k]
-        self._eu, self._ev = eu[:e], ev[:e]
-        self.indptr, self.nbr, self.eid = indptr[: n + 1], nbr[: 2 * e], eid[: 2 * e]
-        self._code_step, self.degrees = step[: 2 * e], np.diff(self.indptr)
-        draws, prob, coop, idx = work
-        self._buffers = (draws[: 2 * e], prob[:e], coop[: 2 * e], idx[:e])
+            n, hi = int(self.first[i]), e + pop.net.num_edges
+            self.pay[n : n + pop.n] = pop.pay
+            self.mem[e:hi] = pop.mem
+            pop.pay, pop.mem, pop._code = self.pay[n : n + pop.n], self.mem[e:hi], self._code[e:hi]
+            pop.strat, pop.counts = self.strat[n : n + pop.n], self.counts[i * k : (i + 1) * k]
+            self._slices.append((rng, e, hi))
+            e = hi
+
+    def release(self) -> None:
+        """Give every member its own copies of its arrays back."""
+        for pop in self._pops:
+            for name in ("pay", "mem", "_code", "strat", "counts"):
+                setattr(pop, name, getattr(pop, name).copy())
 
     def random(self, out: np.ndarray) -> None:
         """Fill ``out``, the round's draws, from each member's own stream."""

@@ -22,10 +22,11 @@ round, then runs each replicate's events from that replicate's own stream,
 so a replicate's record is bit-identical to a run() of it alone. Rounds are
 played one of two ways, chosen by input size (see :func:`uses_on_demand`).
 The dense path plays every edge every step with ``engine.play_step``: one
-call for all live replicates, on their ``engine.Lockstep``, which is laid
-out again without a replicate once it is extinct. While more than
-``engine._FEW_NODES`` replicates are live, a step's events run as one
-vectorised pass over the lockstep's union per event index
+call for all live replicates, on their ``engine.Lockstep``, the population
+on their networks' union. Once a replicate is extinct, the members get
+their own arrays back, and a new lockstep is built from the survivors.
+While more than ``engine._FEW_NODES`` replicates are live, a step's events
+run as one vectorised pass over the lockstep's union per event index
 (:func:`_replace_members`, :func:`_adopt_members`), each replicate still
 drawing from its own stream in the order of its own events; fewer run one
 event at a time. The on-demand path, which takes one replicate, plays an
@@ -234,7 +235,7 @@ def _columns(c: np.ndarray, u: np.ndarray, deg: np.ndarray) -> np.ndarray:
 def _write_back(pop, x, new, pos, deg, eid, slot=0) -> None:
     """:func:`set_strategy` of distinct settled nodes ``x`` to ``new``, then :func:`reset_node`.
 
-    ``pop`` is a population, or a :class:`netgames.engine.Lockstep` whose
+    ``pop`` is a population, or a :class:`netgames.engine.Lockstep`, whose
     ``counts`` hold each member's class counts at ``slot``; ``pos`` and
     ``deg`` are x's CSR positions and row lengths (``engine._rows``) in the
     CSR whose edge ids are ``eid``.
@@ -263,9 +264,9 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
     (on PCG64 the numbers of one draw per row) with each zero-fitness row's
     ``rng.integers(degree)`` taken in its place in the stream, and its
     writes one :func:`_write_back`. The conflicts are found once per step,
-    by one sorted search over the deaths' rows, so the work grows with the
-    step's deaths and their edges, not with their square. An isolated death
-    raises IsolatedNode before any event.
+    by one scan of the deaths' rows against a set of the run's deaths, so
+    the work grows with the step's deaths and their edges, not with their
+    square. An isolated death raises IsolatedNode before any event.
     """
     indptr, nbr, eid = pop.net.csr()
     pos, deg = _rows(indptr, deaths)
@@ -276,22 +277,12 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
     k = len(deaths)
     ends = deg.cumsum()
     starts = ends - deg
-    # prev[j]: the last earlier death at j's node or a neighbour of it, or a
-    # negative number. Each (node, j) is looked up among the deaths' keys
-    # node * k + index, sorted; the key just below it is that node's last
-    # death before j if it is that node's at all (below node * k it is not,
-    # and a lookup below every key wraps round to one at least node * k + j)
-    j = np.arange(k)
-    key = np.sort(deaths * k + j)
-    node = np.concatenate((deaths, nb)) * k
-    owner = np.concatenate((j, j.repeat(deg)))
-    prev = key[key.searchsorted(node + owner) - 1] - node
-    prev[prev >= owner] = -1
-    prev = np.maximum(prev[:k], np.maximum.reduceat(prev[k:], starts))
-    bounds = [0]
-    for i, p in enumerate(prev.tolist()):
-        if p >= bounds[-1]:
+    bounds, run, rows = [0], set(), nb.tolist()
+    for i, (x, lo, hi) in enumerate(zip(deaths.tolist(), starts.tolist(), ends.tolist())):
+        if x in run or not run.isdisjoint(rows[lo:hi]):
             bounds.append(i)
+            run = set()
+        run.add(x)
     bounds.append(k)
 
     degrees = pop.net.degrees
@@ -327,18 +318,19 @@ def _replace_members(lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list) 
     """
     drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
     x = lock.first[rows] + drawn
-    pos, deg = _rows(lock.indptr, x)
+    indptr, nbr, eid = lock.net.csr()
+    pos, deg = _rows(indptr, x)
     if not deg.all():
         raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
-    nb = lock.nbr[pos]
-    c = _cumulative_fitness(lock.pay, lock.degrees, nb, deg)
+    nb = nbr[pos]
+    c = _cumulative_fitness(lock.pay, lock.net.degrees, nb, deg)
     tot = c[:, -1]
     u = np.array([rng.random() if t > 0.0 else 0.0 for rng, t in zip(rngs, tot.tolist())])
     col = _columns(c, u, deg)
     for i in (tot <= 0.0).nonzero()[0].tolist():
         col[i] = rngs[i].integers(0, deg[i])
     y = nb[deg.cumsum() - deg + col]
-    _write_back(lock, x, lock.strat[y], pos, deg, lock.eid, rows * len(lock.strategies))
+    _write_back(lock, x, lock.strat[y], pos, deg, eid, rows * len(lock.strategies))
 
 
 def adoption_probability(
@@ -394,23 +386,25 @@ def _adopt_members(
     """
     drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
     x = lock.first[rows] + drawn
-    deg = lock.degrees[x]
+    indptr, nbr, eid = lock.net.csr()
+    degrees = lock.net.degrees
+    deg = degrees[x]
     if not deg.all():
         raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
     deg = deg.tolist()
-    y = lock.nbr[lock.indptr[x] + [rng.integers(0, d) for rng, d in zip(rngs, deg)]]
+    y = nbr[indptr[x] + [rng.integers(0, d) for rng, d in zip(rngs, deg)]]
     normalizer = cfg.effective_normalizer
     adopted = [
         rng.random() < adoption_probability(*args, normalizer)
         for rng, *args in zip(
-            rngs, lock.pay[x].tolist(), lock.pay[y].tolist(), deg, lock.degrees[y].tolist()
+            rngs, lock.pay[x].tolist(), lock.pay[y].tolist(), deg, degrees[y].tolist()
         )
     ]
     if any(adopted):
         at = np.flatnonzero(adopted)
         x, y, slot = x[at], y[at], rows[at] * len(lock.strategies)
-        pos, count = _rows(lock.indptr, x)
-        _write_back(lock, x, lock.strat[y], pos, count, lock.eid, slot)
+        pos, count = _rows(indptr, x)
+        _write_back(lock, x, lock.strat[y], pos, count, eid, slot)
 
 
 def uses_on_demand(num_edges: int, sample_every: int) -> bool:
@@ -542,14 +536,14 @@ def run_replicates(
 
     Population i runs with seed ``seeds[i]`` and is reported as
     ``run_ids[i]``; each population may be passed once. On the dense path
-    the live populations' rounds are one
-    :func:`netgames.engine.play_step` on their
-    :class:`netgames.engine.Lockstep`, laid out again from the live ones
-    whenever one goes extinct, and while more than ``engine._FEW_NODES``
-    are live their events are one pass over it per event index; each still
-    draws from its own stream in the order it would alone, so its record is
-    bit-identical to that of :func:`run` on it alone. The on-demand path
-    takes one population.
+    the live populations' rounds are one :func:`netgames.engine.play_step`
+    on their :class:`netgames.engine.Lockstep`. Whenever one goes extinct,
+    that lockstep gives its members their own arrays back and is dropped,
+    and a new one is built from the live ones. While more than
+    ``engine._FEW_NODES`` are live, their events are one pass over it per
+    event index. Each still draws from its own stream in the order it would
+    alone, so its record is bit-identical to that of :func:`run` on it
+    alone. The on-demand path takes one population.
     """
     pops = list(pops)
     seeds = list(seeds)
@@ -596,13 +590,15 @@ def run_replicates(
                 rep.extinct_at = 0
             else:
                 live.append(rep)
-        if len(live) > 1:
-            union = source = Lockstep((r.pop, r.rng) for r in live)
-        elif live:
-            union, source = live[0].pop, live[0].rng
-        passes = _member_passes(live)
+        union = None
         next_k = 1
         for t in range(1, steps + 1 if live else 1):
+            if union is None:  # the first step, or the first after an extinction
+                if len(live) > 1:
+                    union = source = Lockstep((r.pop, r.rng) for r in live)
+                else:
+                    union, source = live[0].pop, live[0].rng
+                passes = _member_passes(live)
             if lazy:
                 tick(union)
             else:
@@ -639,15 +635,12 @@ def run_replicates(
                 if not rep.pop.counts.all():
                     rep.extinct_at = t
             live = [rep for rep in live if rep.extinct_at is None]
-            if len(live) > 1:
-                union.keep((r.pop, r.rng) for r in live)
-            elif live:
-                # the last one plays alone, on its views of the lockstep's
-                # arrays, which nothing else writes any more
-                union, source = live[0].pop, live[0].rng
-            else:
+            if not live:
                 break
-            passes = _member_passes(live)
+            # some replicate lives on, so this was a lockstep: its members get
+            # their own arrays back, and it goes before the next one is built
+            union.release()
+            union = source = None
 
     records = []
     for rep, seed, run_id in zip(reps, seeds, run_ids):

@@ -359,8 +359,10 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
 def load_config(path) -> Scenario:
     """Parse a flat "key = value" config file into a Scenario.
 
-    Blank lines and #-comments are skipped, as are result.* and run_* keys, so
-    a previously written meta.txt is itself a valid config.
+    Blank lines and #-comments are skipped, as are result.* keys, so a
+    previously written meta.txt is itself a valid config. Any other key that
+    names no scenario field raises ValueError, so a typo cannot fall back to
+    a default.
     """
     mapping: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
@@ -371,7 +373,7 @@ def load_config(path) -> Scenario:
             raise ValueError(f"not a key = value line: {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if "." in key or key.startswith("run_"):
+        if key.startswith("result."):
             continue
         mapping[key] = value.strip()
     return scenario_from_mapping(mapping)

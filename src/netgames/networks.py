@@ -46,15 +46,20 @@ class Network:
             raise ValueError("need at least one node")
         arr = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         arr = arr.reshape(-1, 2)
-        arr.sort(axis=1)
-        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
         if arr.size:
             if arr.min() < 0 or arr.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
             if np.any(arr[:, 0] == arr[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            if np.any(np.all(arr[1:] == arr[:-1], axis=1)):
-                raise ValueError("duplicate edges are not allowed")
+        arr.sort(axis=1)
+        # one int64 key u * n + v per edge orders the pairs as (u, v) does, for
+        # n < 3e9; the sorted edges are read back from the sorted keys
+        key = arr[:, 0] * self.n
+        key += arr[:, 1]
+        key.sort()
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+        np.divmod(key, self.n, out=(arr[:, 0], arr[:, 1]))
         self.edges = arr
         self.degrees = np.bincount(arr.ravel(), minlength=self.n)
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None

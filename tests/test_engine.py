@@ -288,7 +288,8 @@ class TestLockstep:
         for step in range(40):
             if step == 20:  # drop the middle member: the rest move up
                 dropped = members[1]
-                lockstep.keep([(members[0], rngs[0]), (members[2], rngs[2])])
+                lockstep.release()
+                lockstep = Lockstep([(members[0], rngs[0]), (members[2], rngs[2])])
                 kept_pay, kept_mem = dropped.pay.copy(), dropped.mem.copy()
             live = [0, 2] if step >= 20 else [0, 1, 2]
             lockstep.pay[:] = 0.0
@@ -308,6 +309,20 @@ class TestLockstep:
         assert dropped.pay.tobytes() == kept_pay.tobytes()
         assert dropped.mem.tobytes() == kept_mem.tobytes()
         assert lockstep.net.num_edges == members[0].net.num_edges + members[2].net.num_edges
+
+    def test_union_rows_are_each_members_offset(self):
+        members = self._members()
+        lockstep = Lockstep((pop, np.random.default_rng(45)) for pop in members)
+        indptr, nbr, eid = lockstep.net.csr()
+        first_edge = 0
+        for pop, first in zip(members, lockstep.first.tolist()):
+            p_indptr, p_nbr, p_eid = pop.net.csr()
+            lo, hi = indptr[first], indptr[first + pop.n]
+            assert (indptr[first : first + pop.n + 1] - lo).tolist() == p_indptr.tolist()
+            assert (nbr[lo:hi] - first).tolist() == p_nbr.tolist()
+            assert (eid[lo:hi] - first_edge).tolist() == p_eid.tolist()
+            first_edge += pop.net.num_edges
+        assert first_edge == lockstep.net.num_edges
 
     def test_members_need_one_strategy_table(self):
         net = barabasi_albert(30, 1, seed=42)

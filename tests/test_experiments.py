@@ -139,6 +139,14 @@ class TestScenarioMapping:
         path.write_text("\n".join(lines) + "\n")
         assert load_config(path) == s
 
+    @pytest.mark.parametrize("line", ["payoff.t = 4", "run_steps = 5", "result = 1"])
+    def test_config_file_rejects_a_mistyped_key(self, tmp_path, line):
+        path = tmp_path / "scenario.cfg"
+        lines = [f"{k} = {v}" for k, v in scenario_to_mapping(tiny_scenario()).items()]
+        path.write_text("\n".join([*lines, "result.mean_final_fraction_a = 0.5", line]) + "\n")
+        with pytest.raises(ValueError, match="unknown scenario key"):
+            load_config(path)
+
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)

@@ -64,6 +64,21 @@ class TestNetworkType:
         with pytest.raises(ValueError):
             Network(3, [(0, 1), (1, 0)])
 
+    @given(st.data())
+    def test_edges_come_out_as_sorted_unique_pairs(self, data):
+        n = data.draw(st.one_of(st.integers(2, 12), st.integers(2, 10**5)))
+        node = st.integers(0, n - 1)
+        pair = st.tuples(node, node).filter(lambda e: e[0] != e[1]).map(lambda e: tuple(sorted(e)))
+        pairs = sorted(data.draw(st.sets(pair, max_size=40)))
+        edges = data.draw(st.permutations(pairs))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+        assert Network(n, edges).edges.tolist() == [list(e) for e in pairs]
+        if edges:
+            u, v = data.draw(st.sampled_from(edges))
+            with pytest.raises(ValueError, match="duplicate"):
+                Network(n, [*edges, (v, u)])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Network(3, [(0, 3)])

@@ -1,11 +1,12 @@
-"""Every public function, class and method in the package is used somewhere.
+"""Every function, class, method and private constant in the package is used somewhere.
 
 A helper that only its own unit test calls is dead weight: it has to be
 kept correct and documented, yet no run depends on it. The scan reads the
 ASTs of the package modules (``__init__`` only re-exports, so it is left
-out) and of ``scripts/``. A public top-level function or class, or a public
-method of a top-level class, passes when some ``Name``, ``Attribute`` or
-``from``-import in those files refers to it by name.
+out) and of ``scripts/``. A top-level function or class, a method of a
+top-level class, or a ``_``-prefixed module constant passes when some
+``Name`` read, ``Attribute`` or ``from``-import in those files refers to it
+by name. Dunders are exempt: Python calls them.
 """
 
 import ast
@@ -31,6 +32,9 @@ def _definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("_"))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
@@ -39,7 +43,7 @@ def _definitions(tree):
 
 def _references(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -47,15 +51,24 @@ def _references(tree):
             yield from (alias.name for alias in node.names)
 
 
-def test_no_unused_public_helpers():
+def _unused(checked):
+    """Definitions for which ``checked(name)`` holds that nothing refers to."""
     trees = _sources()
     used = {name for tree in trees.values() for name in _references(tree)}
-    defined = {(path, name) for path, tree in trees.items() for name in _definitions(tree)}
-    unused = sorted(
+    return sorted(
         f"{path.relative_to(ROOT)}: {name}"
-        for path, name in defined
-        if not name.startswith("_") and name not in used and name not in ALLOWED
+        for path, tree in trees.items()
+        for name in _definitions(tree)
+        if checked(name) and name not in used and name not in ALLOWED
     )
-    assert unused == []
+
+
+def test_no_unused_public_helpers():
+    assert _unused(lambda name: not name.startswith("_")) == []
     # an allow-list entry outlives its helper unnoticed otherwise
-    assert set(ALLOWED) <= {name for _, name in defined}
+    defined = {name for tree in _sources().values() for name in _definitions(tree)}
+    assert set(ALLOWED) <= defined
+
+
+def test_no_unused_private_helpers():
+    assert _unused(lambda name: name.startswith("_") and not name.endswith("__")) == []
