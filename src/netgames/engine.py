@@ -221,14 +221,14 @@ class Lockstep(Population):
     state.
 
     While a population is a member, its ``pay``, ``mem``, pair codes and
-    ``strat`` are views into the lockstep's arrays, and its ``counts`` a view
-    of slots ``i * k`` to ``(i + 1) * k`` of the lockstep's, which hold one
-    slot per member and strategy. Its network and stream stay its own, so
-    evolution events and samples run on the member unchanged, or on all
-    members at once through the union's ``net`` (see ``evolution``). So
-    :func:`set_strategy` and :func:`reset_node` go to a member, never to the
-    lockstep itself. :meth:`release` gives the members their own arrays back
-    before the lockstep is dropped.
+    ``strat`` are views into the lockstep's arrays, and its ``counts`` the k
+    slots of the lockstep's from ``slots[i] = i * k``. Its network and
+    stream stay its own, so evolution events and samples run on the member
+    unchanged, or, in ``evolution``'s passes over members of one node count,
+    on all at once through the union's ``net`` and :func:`_write_back` at
+    ``slots``. So :func:`set_strategy` and :func:`reset_node` go to a
+    member, never to the lockstep itself. :meth:`release` gives the members
+    their own arrays back before the lockstep is dropped.
     """
 
     def __init__(self, members) -> None:
@@ -245,14 +245,15 @@ class Lockstep(Population):
         super().__init__(union, pops[0].strategies, np.concatenate([pop.strat for pop in pops]))
         self.counts = np.concatenate([pop.counts for pop in pops])
         k = len(self.strategies)
+        self.slots = np.arange(0, len(pops) * k, k)
         self._pops, self._slices = pops, []
         e = 0
-        for i, (pop, rng) in enumerate(members):
-            n, hi = int(self.first[i]), e + pop.net.num_edges
+        for (pop, rng), n, c in zip(members, self.first.tolist(), self.slots.tolist()):
+            hi = e + pop.net.num_edges
             self.pay[n : n + pop.n] = pop.pay
             self.mem[e:hi] = pop.mem
             pop.pay, pop.mem, pop._code = self.pay[n : n + pop.n], self.mem[e:hi], self._code[e:hi]
-            pop.strat, pop.counts = self.strat[n : n + pop.n], self.counts[i * k : (i + 1) * k]
+            pop.strat, pop.counts = self.strat[n : n + pop.n], self.counts[c : c + k]
             self._slices.append((rng, e, hi))
             e = hi
 
@@ -294,6 +295,24 @@ def set_strategy(pop: Population, node: int, strategy_index: int) -> None:
         indptr, _, eid = pop.net.csr()
         lo, hi = indptr[node], indptr[node + 1]
         pop._code[eid[lo:hi]] += (strategy_index - old) * pop._code_step[lo:hi]
+
+
+def _write_back(pop, x, new, pos, deg, eid, slot=0) -> None:
+    """:func:`set_strategy` of distinct settled nodes ``x`` to ``new``, then :func:`reset_node`.
+
+    ``pop`` is a population, or a :class:`Lockstep` with ``slot`` its
+    ``slots`` of x's members; ``pos`` and ``deg`` are x's CSR positions and
+    row lengths (:func:`_rows`) in the CSR whose edge ids are ``eid``.
+    """
+    old = pop.strat[x]
+    size = len(pop.counts)
+    pop.counts += np.bincount(slot + new, minlength=size)
+    pop.counts -= np.bincount(slot + old, minlength=size)
+    pop.strat[x] = new
+    edges = eid[pos]
+    pop._code[edges] += (new - old).astype(np.int16).repeat(deg) * pop._code_step[pos]
+    pop.pay[x] = 0.0
+    pop.mem[edges] = UNPLAYED
 
 
 class _OnDemand:

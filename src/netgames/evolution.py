@@ -17,16 +17,17 @@ freezes both processes short of the extinction outcomes they should reach;
 see the run() loop, which clears payoffs before each step's round of play.
 
 run() is :func:`run_replicates` of one population, and run_replicates()
-advances several in lockstep: each step it plays every live replicate's
-round, then runs each replicate's events from that replicate's own stream,
-so a replicate's record is bit-identical to a run() of it alone. Rounds are
-played one of two ways, chosen by input size (see :func:`uses_on_demand`).
-The dense path plays every edge every step with ``engine.play_step``: one
+advances several of one node count, none with an isolated node, in
+lockstep: each step it plays every live replicate's round, then runs each
+replicate's events from that replicate's own stream, so a replicate's
+record is bit-identical to a run() of it alone. Rounds are played one of
+two ways, chosen by input size (see :func:`uses_on_demand`). The dense
+path plays every edge every step with ``engine.play_step``: one
 call for all live replicates, on their ``engine.Lockstep``, the population
 on their networks' union. Once a replicate is extinct, the members get
 their own arrays back, and a new lockstep is built from the survivors.
 While more than ``engine._FEW_NODES`` replicates are live, a step's events
-run as one vectorised pass over the lockstep's union per event index
+run as one vectorised pass over all of the lockstep's members per event
 (:func:`_replace_members`, :func:`_adopt_members`), each replicate still
 drawing from its own stream in the order of its own events; fewer run one
 event at a time. The on-demand path, which takes one replicate, plays an
@@ -55,13 +56,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    UNPLAYED,
     _FEW_NODES,
     IsolatedNode,
     Lockstep,
     Population,
     _round_half_up,
     _rows,
+    _write_back,
     class_mean_degrees,
     on_demand,
     play_step,
@@ -232,25 +233,6 @@ def _columns(c: np.ndarray, u: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return np.minimum((c <= u[:, None]).sum(axis=1), deg - 1)
 
 
-def _write_back(pop, x, new, pos, deg, eid, slot=0) -> None:
-    """:func:`set_strategy` of distinct settled nodes ``x`` to ``new``, then :func:`reset_node`.
-
-    ``pop`` is a population, or a :class:`netgames.engine.Lockstep`, whose
-    ``counts`` hold each member's class counts at ``slot``; ``pos`` and
-    ``deg`` are x's CSR positions and row lengths (``engine._rows``) in the
-    CSR whose edge ids are ``eid``.
-    """
-    old = pop.strat[x]
-    size = len(pop.counts)
-    pop.counts += np.bincount(slot + new, minlength=size)
-    pop.counts -= np.bincount(slot + old, minlength=size)
-    pop.strat[x] = new
-    edges = eid[pos]
-    pop._code[edges] += (new - old).astype(np.int16).repeat(deg) * pop._code_step[pos]
-    pop.pay[x] = 0.0
-    pop.mem[edges] = UNPLAYED
-
-
 def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) -> np.ndarray:
     """:func:`_replace` of each death in draw order; returns the parents.
 
@@ -306,22 +288,18 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
     return parents
 
 
-def _replace_members(lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list) -> None:
-    """One death-birth event of each of the lockstep's members ``rows``.
+def _replace_members(lock: Lockstep, rngs: list, x: np.ndarray) -> None:
+    """One death-birth event of each of the lockstep's members, member i's at ``x[i]``.
 
     One pass over the lockstep's union, bit-identical in every effect to
-    :func:`moran_event` on each member alone: member ``rows[i]``, of
-    ``sizes[i]`` nodes, draws its death, then its parent's uniform (or, at a
-    zero-fitness row, its neighbour's index), from ``rngs[i]`` in that order,
-    and the members' events, on disjoint graphs, cannot read each other's
-    writes.
+    :func:`moran_event` on each member alone: member i, whose death ``x[i]``
+    (in union numbering) the caller drew from ``rngs[i]``, then draws its
+    parent's uniform (or, at a zero-fitness row, its neighbour's index), and
+    the members' events, on disjoint graphs, cannot read each other's
+    writes. No member has an isolated node, as :func:`run_replicates` checks.
     """
-    drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
-    x = lock.first[rows] + drawn
     indptr, nbr, eid = lock.net.csr()
     pos, deg = _rows(indptr, x)
-    if not deg.all():
-        raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
     nb = nbr[pos]
     c = _cumulative_fitness(lock.pay, lock.net.degrees, nb, deg)
     tot = c[:, -1]
@@ -330,7 +308,7 @@ def _replace_members(lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list) 
     for i in (tot <= 0.0).nonzero()[0].tolist():
         col[i] = rngs[i].integers(0, deg[i])
     y = nb[deg.cumsum() - deg + col]
-    _write_back(lock, x, lock.strat[y], pos, deg, eid, rows * len(lock.strategies))
+    _write_back(lock, x, lock.strat[y], pos, deg, eid, lock.slots)
 
 
 def adoption_probability(
@@ -373,25 +351,19 @@ def adoption_event(
     return x, y, adopted
 
 
-def _adopt_members(
-    lock: Lockstep, rows: np.ndarray, rngs: list, sizes: list, cfg: AdoptionConfig
-) -> None:
-    """One adoption event of each of the lockstep's members ``rows``.
+def _adopt_members(lock: Lockstep, rngs: list, x: np.ndarray, cfg: AdoptionConfig) -> None:
+    """One adoption event of each of the lockstep's members, member i's at ``x[i]``.
 
     One pass over the lockstep's union, bit-identical in every effect to
-    :func:`adoption_event` on each member alone: member ``rows[i]``, of
-    ``sizes[i]`` nodes, draws its marked node, its neighbour's index and its
-    acceptance uniform from ``rngs[i]`` in that order, and the members'
-    events, on disjoint graphs, cannot read each other's writes.
+    :func:`adoption_event` on each member alone: member i, whose marked node
+    ``x[i]`` (in union numbering) the caller drew from ``rngs[i]``, then
+    draws its neighbour's index and its acceptance uniform, and the members'
+    events, on disjoint graphs, cannot read each other's writes. No member
+    has an isolated node, as :func:`run_replicates` checks.
     """
-    drawn = [rng.integers(0, n) for rng, n in zip(rngs, sizes)]
-    x = lock.first[rows] + drawn
     indptr, nbr, eid = lock.net.csr()
     degrees = lock.net.degrees
-    deg = degrees[x]
-    if not deg.all():
-        raise IsolatedNode(f"node {drawn[deg.argmin()]} has no neighbors")
-    deg = deg.tolist()
+    deg = degrees[x].tolist()
     y = nbr[indptr[x] + [rng.integers(0, d) for rng, d in zip(rngs, deg)]]
     normalizer = cfg.effective_normalizer
     adopted = [
@@ -402,9 +374,9 @@ def _adopt_members(
     ]
     if any(adopted):
         at = np.flatnonzero(adopted)
-        x, y, slot = x[at], y[at], rows[at] * len(lock.strategies)
+        x, y = x[at], y[at]
         pos, count = _rows(indptr, x)
-        _write_back(lock, x, lock.strat[y], pos, count, eid, slot)
+        _write_back(lock, x, lock.strat[y], pos, count, eid, lock.slots[at])
 
 
 def uses_on_demand(num_edges: int, sample_every: int) -> bool:
@@ -476,10 +448,9 @@ def run(
 class _Replicate:
     """One population's stream, samples and extinction step in the run loop."""
 
-    def __init__(self, pop: Population, seed: int, events: int, k_samples: int) -> None:
+    def __init__(self, pop: Population, seed: int, k_samples: int) -> None:
         self.pop = pop
         self.rng = np.random.default_rng(seed)
-        self.events = events  # death-birth events per step
         # fraction a, fraction b, mean payoff a, mean payoff b per sample
         self.samples = np.empty((4, k_samples))
         self.class_mean_degrees = class_mean_degrees(pop)
@@ -500,27 +471,6 @@ class _Replicate:
         )
 
 
-def _member_passes(live: list) -> list:
-    """A step's event passes over the live replicates' lockstep, in order.
-
-    More than ``engine._FEW_NODES`` live replicates run each step's events
-    as one vectorised pass per event index: the member rows, streams and
-    sizes of the replicates with that many events per step. Fewer run one
-    event at a time, and get no passes.
-    """
-    if len(live) <= _FEW_NODES:
-        return []
-    events = np.array([rep.events for rep in live])
-    return [
-        (
-            np.flatnonzero(events > j),
-            [rep.rng for rep in live if rep.events > j],
-            [rep.pop.n for rep in live if rep.events > j],
-        )
-        for j in range(events.max())
-    ]
-
-
 def run_replicates(
     pops,
     process: str,
@@ -535,15 +485,17 @@ def run_replicates(
     """:func:`run` of each population, all advanced together step by step.
 
     Population i runs with seed ``seeds[i]`` and is reported as
-    ``run_ids[i]``; each population may be passed once. On the dense path
-    the live populations' rounds are one :func:`netgames.engine.play_step`
-    on their :class:`netgames.engine.Lockstep`. Whenever one goes extinct,
-    that lockstep gives its members their own arrays back and is dropped,
-    and a new one is built from the live ones. While more than
-    ``engine._FEW_NODES`` are live, their events are one pass over it per
-    event index. Each still draws from its own stream in the order it would
-    alone, so its record is bit-identical to that of :func:`run` on it
-    alone. The on-demand path takes one population.
+    ``run_ids[i]``; each population may be passed once. All share one node
+    count, so one number of events per step, and an isolated node raises
+    IsolatedNode, named by its own population's index, before step 1. On
+    the dense path the live populations' rounds are one ``engine.play_step``
+    on their ``engine.Lockstep``. Whenever one goes extinct, that lockstep
+    gives its members their own arrays back and is dropped, and a new one is
+    built from the live ones. While more than ``engine._FEW_NODES`` are
+    live, their events are one pass over all of them per event. Each still
+    draws from its own stream in the order it would alone, so its record is
+    bit-identical to that of :func:`run` on it alone. The on-demand path
+    takes one population.
     """
     pops = list(pops)
     seeds = list(seeds)
@@ -568,6 +520,12 @@ def run_replicates(
         raise ValueError(f"unknown process {process!r}")
     if focal_index not in (0, 1):
         raise ValueError("focal_index must be 0 or 1")
+    n = pops[0].n
+    for i, pop in enumerate(pops):  # checked once: no network changes during a run
+        if pop.n != n:
+            raise ValueError(f"replicates need one node count: population {i} has {pop.n}, not {n}")
+        if not pop.net.degrees.all():
+            raise IsolatedNode(f"node {pop.net.degrees.argmin()} has no neighbors")
     lazy = any(uses_on_demand(pop.net.num_edges, sample_every) for pop in pops)
     if lazy and len(pops) > 1:
         raise ValueError("the on-demand path runs one population at a time")
@@ -577,10 +535,8 @@ def run_replicates(
     if sample_steps[-1] != steps:
         sample_steps = np.append(sample_steps, steps)
     k_samples = len(sample_steps)
-    reps = [
-        _Replicate(pop, seed, cfg.events_per_step(pop.n) if process == "moran" else 1, k_samples)
-        for pop, seed in zip(pops, seeds)
-    ]
+    reps = [_Replicate(pop, seed, k_samples) for pop, seed in zip(pops, seeds)]
+    events = cfg.events_per_step(n) if process == "moran" else 1
 
     with on_demand(pops[0], m, reps[0].rng) if lazy else nullcontext():
         live = []
@@ -598,18 +554,20 @@ def run_replicates(
                     union = source = Lockstep((r.pop, r.rng) for r in live)
                 else:
                     union, source = live[0].pop, live[0].rng
-                passes = _member_passes(live)
+                rngs = [r.rng for r in live] if len(live) > _FEW_NODES else []
             if lazy:
                 tick(union)
             else:
                 union.pay[:] = 0.0
                 play_step(union, m, source)
-            if passes:
-                for rows, rngs, sizes in passes:
+            if rngs:  # more than _FEW_NODES live: one pass over all per event
+                for _ in range(events):
+                    # each member's uniform node, its event's first draw
+                    x = union.first + [rng.integers(0, n) for rng in rngs]
                     if process == "moran":
-                        _replace_members(union, rows, rngs, sizes)
+                        _replace_members(union, rngs, x)
                     else:
-                        _adopt_members(union, rows, rngs, sizes, cfg)
+                        _adopt_members(union, rngs, x, cfg)
             else:
                 for rep in live:
                     pop, rng = rep.pop, rep.rng
@@ -619,9 +577,9 @@ def run_replicates(
                         # deaths are uniform and independent of the payoffs,
                         # so drawing them first and settling every edge they
                         # read at once leaves the process unchanged
-                        moran_event(pop, rng, rng.integers(pop.n, size=rep.events))
+                        moran_event(pop, rng, rng.integers(n, size=events))
                     else:
-                        for _ in range(rep.events):
+                        for _ in range(events):
                             moran_event(pop, rng)
             if next_k < k_samples and t == sample_steps[next_k]:
                 for rep in live:

@@ -482,11 +482,14 @@ def _execute_batch(s: Scenario, runs_dir: Path, tasks) -> list[RunRecord]:
     return records
 
 
-# replicates that play densely run in batches whose networks together hold
-# at most this many edges, one lockstep round per step, and while more than
-# engine._FEW_NODES are live one event pass per event index: at n = 200 a
-# round and an event cost mostly per-call overhead, which a batch of 20
-# pays once
+# dense replicates run in batches of at most this many edges in all. A
+# replicate-step costs no less in a bigger batch, but each extinction
+# rebuilds the lockstep, so a batch of M pays O(M^2 * |E|) in rebuilds.
+# zd_default vs Pavlov, 2-core host: per replicate-step (µs), adoption on
+# BA(200, 2) 12.3-15.9, 12.9-15.3, 12.8-13.8 at 50, 100, 200 members; on
+# BA(1000, 2) adoption 36.8-38.9 -> 40.4-43.0, death-birth 37.9-59.3 ->
+# 37.2-42.9 from 10 to 100; a build plus release() of 20, 50, 100, 200
+# BA(200, 2) members 1.2, 3.1-3.6, 6.1-6.9, 13-17 ms
 _LOCKSTEP_EDGES = 20_000
 
 

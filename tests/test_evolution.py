@@ -459,8 +459,8 @@ class TestRun:
 
 class TestRunReplicates:
     def _pops(self, size):
-        nets = [regular_random(30, 4, seed=50), barabasi_albert(24, 2, seed=51),
-                regular_random(30, 4, seed=50), barabasi_albert(40, 1, seed=52)]
+        nets = [regular_random(30, 4, seed=50), barabasi_albert(30, 2, seed=51),
+                regular_random(30, 4, seed=50), barabasi_albert(30, 1, seed=52)]
         return [init_random(nets[i % 4], ZD, PAVLOV, 0.5, seed=53 + i) for i in range(size)]
 
     # 4 replicates run their events one at a time; 12, more than
@@ -472,8 +472,8 @@ class TestRunReplicates:
         pytest.param("adoption", 12, id="adoption-12"),
     ])
     def test_records_match_runs_alone(self, process, size):
-        # networks of different sizes; replicates die at different steps,
-        # so the lockstep is laid out again mid-run
+        # replicates die at different steps, so a new lockstep is built
+        # from the survivors mid-run
         cfg = MoranConfig(0.1) if process == "moran" else AdoptionConfig.for_pair(ZD, PAVLOV, M)
         seeds = range(60, 60 + size)
         alone = [run(pop, process, 600, M, cfg, seed, 50, run_id)
@@ -494,28 +494,39 @@ class TestRunReplicates:
         with pytest.raises(ValueError, match="one population"):
             run_replicates(self._pops(4), "moran", 10, M, MoranConfig(), [1, 2, 3, 4], range(4))
 
-    def test_a_population_passed_twice_is_refused(self):
-        # both entries would be one lockstep member's views, written twice a step
+    @pytest.mark.parametrize("case", ["passed-twice", "node-counts", "isolated-node"])
+    def test_a_population_passed_twice_is_refused(self, case):
         pop = init_random(barabasi_albert(50, 2, seed=54), ZD, PAVLOV, 0.5, seed=55)
-        with pytest.raises(ValueError, match="more than once"):
-            run_replicates([pop, pop], "moran", 300, M, MoranConfig(0.1), [5, 6], [0, 1])
+        if case == "passed-twice":
+            # both entries would be one lockstep member's views, written twice a step
+            other, error, match = pop, ValueError, "more than once"
+        elif case == "node-counts":
+            other = init_random(barabasi_albert(40, 2, seed=56), ZD, PAVLOV, 0.5, seed=57)
+            error, match = ValueError, "node count: population 1 has 40, not 50"
+        else:
+            # refused before any step, even where no event would reach it
+            net = Network(50, [(v, v + 1) for v in range(30)])
+            other = init_random(net, ZD, PAVLOV, 1.0, seed=57)
+            error, match = IsolatedNode, "^node 31 has no neighbors$"
+        with pytest.raises(error, match=match):
+            run_replicates([pop, other], "moran", 300, M, MoranConfig(0.1), [5, 6], [0, 1])
 
 
 class TestMemberPass:
     # More than engine._FEW_NODES live dense replicates run a step's events
-    # as one pass over their lockstep. Three graph shapes: n 30, 24 and 40
-    # give 3, 2 and 4 deaths a step at rate 0.1. A negative sucker's payoff
+    # as one pass over their lockstep. Three graph shapes on 30 nodes, 3
+    # deaths a step each at rate 0.1. A negative sucker's payoff
     # lets a whole neighbourhood have fitness 0, whose parent is drawn by
     # integers(degree) in the uniform's place.
     NEG = PayoffMatrix(t=4.0, r=2.0, p=0.0, s=-1.0)
 
     def _pops(self, lonely=False):
-        nets = [regular_random(30, 4, seed=80), barabasi_albert(24, 2, seed=81),
-                barabasi_albert(40, 1, seed=82)]
+        nets = [regular_random(30, 4, seed=80), barabasi_albert(30, 2, seed=81),
+                barabasi_albert(30, 1, seed=82)]
         pops = [init_random(nets[i % 3], ZD, PAVLOV, 0.5, seed=83 + i) for i in range(12)]
-        if lonely:  # the last member: nodes 6 to 9 have no neighbours
-            net = Network(10, [(v, v + 1) for v in range(5)])
-            pops[-1] = Population(net, (ZD, PAVLOV), np.arange(10) % 2)
+        if lonely:  # the last member, a path but for nodes 6 to 9, which have no neighbours
+            net = Network(30, [(v, v + 1) for v in [*range(5), *range(10, 29)]])
+            pops[-1] = Population(net, (ZD, PAVLOV), np.arange(30) % 2)
         return pops
 
     def _cfg(self, process):
@@ -585,7 +596,8 @@ class TestMemberPass:
 
     @pytest.mark.parametrize("process", ["moran", "adoption"])
     def test_isolated_node_named_by_its_members_index(self, process):
-        # the lonely member is laid out last, far from node 0 of the union
+        # the lonely member comes last: its node is named by its own index,
+        # not by its index in a lockstep of the members
         seeds = range(90, 102)
         cfg = self._cfg(process)
         with pytest.raises(IsolatedNode) as alone:
