@@ -7,7 +7,6 @@ that downstream iteration order is reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,23 +94,32 @@ class Network:
 
 
 def _reaches(neighbours, n: int, start: int, goal: int | None = None) -> bool:
-    """Breadth-first search from ``start`` over ``neighbours[u]`` (nodes 0..n-1).
+    """Whether ``start`` reaches ``goal``, or all n nodes, over ``neighbours[u]``.
 
-    With a ``goal`` (not ``start``) it answers whether the goal is reached,
-    stopping as soon as it is; without one, whether all n nodes are.
+    Without a goal it is one breadth-first search from ``start``. With a goal
+    (not ``start``) a frontier grows from each end, the smaller one level at
+    a time; it answers True when the two touch and False when either empties,
+    so a search from inside a small piece stops after that piece.
     """
-    seen = bytearray(n)
-    seen[start] = 1
-    queue = deque([start])
-    count = 1
-    while queue:
-        for v in neighbours[queue.popleft()]:
-            if not seen[v]:
-                if v == goal:
+    side = bytearray(n)  # 0 unseen, else the mark of the end that found it
+    side[start] = 1
+    front, other, mark, count = [start], [goal], 1, 1
+    if goal is not None:
+        side[goal] = 2
+    while front:
+        level = []
+        for u in front:
+            for v in neighbours[u]:
+                seen = side[v]
+                if not seen:
+                    side[v] = mark
+                    level.append(v)
+                elif seen != mark:
                     return True
-                seen[v] = 1
-                count += 1
-                queue.append(v)
+        count += len(level)
+        front = level
+        if goal is not None and len(front) > len(other):
+            front, other, mark = other, front, 3 - mark
     return goal is None and count == n
 
 
@@ -169,28 +177,58 @@ def regular_random(n: int, k: int, seed: int) -> Network:
             return g
 
 
+# arriving nodes whose first m picks are drawn in one call; a block also spans
+# at most as many nodes as are already there, since picks collide often while
+# the graph is small and a collision discards the rest of its block
+_BA_BLOCK = 1024
+
+
 def barabasi_albert(n: int, m: int, seed: int) -> Network:
     """Preferential-attachment graph grown from a complete seed on max(m, 2) nodes.
 
     Each arriving node attaches m edges to distinct existing nodes chosen with
-    probability proportional to their current degree.
+    probability proportional to their current degree: it draws uniform
+    positions in ``repeated``, one entry per edge endpoint so far, until m
+    distinct nodes are named.
+
+    The first m picks of up to ``_BA_BLOCK`` arriving nodes come from one
+    ``rng.integers(0, highs)`` call, node w's high being ``len(repeated)``
+    when w arrives; on PCG64 these are exactly the numbers of one scalar call
+    per pick. When a node's m picks name fewer than m distinct nodes, the
+    generator state saved before the block is restored, the block's draws are
+    replayed up to that node, its further picks are drawn one at a time and a
+    new block starts after it, so the graph is the one-call-per-pick graph.
     """
     if m < 1 or m >= n:
         raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     s = max(m, 2)
-    edges = [(i, j) for i in range(s) for j in range(i + 1, s)]
-    repeated = [node for e in edges for node in e]  # one entry per edge endpoint
-    for v in range(s, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
-        chosen = sorted(targets)
-        for t in chosen:
-            edges.append((t, v))
-        repeated.extend(chosen)
-        repeated.extend([v] * m)
-    return Network(n, edges)
+    # the seed's edges, flattened; then per arriving node its m sorted targets
+    # followed by m copies of itself, so each m-target row pairs with a node row
+    repeated = [u for i in range(s) for j in range(i + 1, s) for u in (i, j)]
+    v = s
+    while v < n:
+        count = min(_BA_BLOCK, n - v, v)
+        start = len(repeated)
+        highs = np.repeat(np.arange(start, start + 2 * m * count, 2 * m), m)
+        saved = rng.bit_generator.state
+        picks = rng.integers(0, highs).tolist()
+        for k in range(count):
+            chosen = {repeated[i] for i in picks[k * m : (k + 1) * m]}
+            replay = len(chosen) < m
+            if replay:
+                rng.bit_generator.state = saved
+                rng.integers(0, highs[: (k + 1) * m])
+                while len(chosen) < m:
+                    chosen.add(repeated[int(rng.integers(len(repeated)))])
+            repeated.extend(sorted(chosen))
+            repeated.extend([v + k] * m)
+            if replay:
+                break
+        v += k + 1
+    ends = np.array(repeated, dtype=np.int64)
+    grown = ends[s * (s - 1) :].reshape(-1, 2, m).transpose(0, 2, 1)
+    return Network(n, np.concatenate([ends[: s * (s - 1)].reshape(-1, 2), grown.reshape(-1, 2)]))
 
 
 @dataclass(frozen=True)
@@ -209,14 +247,15 @@ def _mixing(g: Network) -> tuple[int, Callable[[int], float]]:
     integer, so a walk that updates S gets the rho of its graph bit for bit.
     """
     k = g.degrees.astype(np.int64)
-    ends = 2 * g.num_edges
+    num_e = g.num_edges
+    ends = 2 * num_e
     mu = int(k @ (k - 1)) / ends
     var = int(k @ (k - 1) ** 2) / ends - mu * mu
     rem = k - 1
     s = int(rem[g.edges[:, 0]] @ rem[g.edges[:, 1]])
 
     def rho(s: int) -> float:
-        return 0.0 if var <= 0.0 else (s / g.num_edges - mu * mu) / var
+        return 0.0 if var <= 0.0 else (s / num_e - mu * mu) / var
 
     return s, rho
 
@@ -278,7 +317,7 @@ def rewire_to_assortativity(
         )
 
     rem = (g.degrees - 1).tolist()
-    edges = [(int(u), int(v)) for u, v in g.edges]
+    edges = g.edges.tolist()
     cur = rho_of(s_sum)
     if abs(cur - target_rho) <= tol:
         return g, cur
@@ -357,7 +396,12 @@ def hub_order(g: Network, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     tiebreak = rng.permutation(g.n)
-    return np.lexsort((tiebreak, -g.degrees))
+    # one int64 key per node, unique since the tiebreak is a permutation, so a
+    # single argsort gives the (degree descending, tiebreak) order, for n < 3e9
+    key = g.degrees.max() - g.degrees
+    key *= g.n
+    key += tiebreak
+    return np.argsort(key)
 
 
 def fit_power_law(degrees, counts) -> tuple[float, float]:
@@ -408,8 +452,13 @@ def write_edgelist(g: Network, path) -> None:
 
 
 def read_edgelist(path, n: int | None = None) -> Network:
-    """Inverse of :func:`write_edgelist`; n defaults to max index + 1."""
-    edges = []
+    """Inverse of :func:`write_edgelist`; n defaults to max index + 1.
+
+    A line that is not two node indices, a self-loop, an endpoint >= n and
+    the second listing of an edge (in either orientation) raise ValueError
+    naming the file and line.
+    """
+    first_line: dict[tuple[int, int], int] = {}  # each edge as (low, high)
     for num, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -417,12 +466,22 @@ def read_edgelist(path, n: int | None = None) -> Network:
         pair = line.split()
         if len(pair) != 2 or not all(t.isdecimal() for t in pair):
             raise ValueError(f"{path} line {num}: need two non-negative node indices, got {line!r}")
-        edges.append((int(pair[0]), int(pair[1])))
-    if not edges and n is None:
+        u, v = int(pair[0]), int(pair[1])
+        key = (u, v) if u < v else (v, u)
+        if u == v:
+            raise ValueError(f"{path} line {num}: self-loop at node {u}")
+        if n is not None and key[1] >= n:
+            raise ValueError(f"{path} line {num}: endpoint {key[1]} out of range for n={n}")
+        if key in first_line:
+            raise ValueError(
+                f"{path} line {num}: duplicate edge {u} {v} (first listed on line {first_line[key]})"
+            )
+        first_line[key] = num
+    if not first_line and n is None:
         raise EmptyGraph(f"no edges in {path}")
     if n is None:
-        n = max(max(u, v) for u, v in edges) + 1
-    return Network(n, edges)
+        n = max(v for _, v in first_line) + 1
+    return Network(n, list(first_line))
 
 
 def write_degree_histogram(g: Network, path) -> None:

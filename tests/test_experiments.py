@@ -603,19 +603,24 @@ class TestCLI:
         assert captured.err.startswith("error: ValueError: ") and captured.err.count("\n") == 1
         assert f"line {line}:" in captured.err
 
-    @pytest.mark.parametrize("text,line", [
-        ("0 1\n1 2 3\n", 2),  # three tokens
-        ("# net\n0 1\n\n1 x\n", 4),  # not an integer
-        ("0 1\n1 -2\n", 2),  # negative index
-    ], ids=["tokens", "non_integer", "negative"])
-    def test_measure_rejects_a_bad_edge_line_by_line(self, tmp_path, capsys, text, line):
+    @pytest.mark.parametrize("text,line,n,says", [
+        ("0 1\n1 2 3\n", 2, None, "need two"),  # three tokens
+        ("# net\n0 1\n\n1 x\n", 4, None, "need two"),  # not an integer
+        ("0 1\n1 -2\n", 2, None, "need two"),  # negative index
+        ("0 1\n2 2\n", 2, None, "self-loop at node 2"),
+        ("0 1\n1 2\n0 1\n", 3, None, "duplicate edge 0 1 (first listed on line 1)"),
+        ("0 1\n1 2\n# x\n2 1\n", 4, None, "duplicate edge 2 1 (first listed on line 2)"),
+        ("0 1\n1 5\n", 2, 4, "endpoint 5 out of range for n=4"),
+    ], ids=["tokens", "non_integer", "negative", "self_loop", "duplicate", "duplicate_reversed",
+            "endpoint_beyond_n"])
+    def test_measure_rejects_a_bad_edge_line_by_line(self, tmp_path, capsys, text, line, n, says):
         path = tmp_path / "bad.edges"
         path.write_text(text)
-        assert main(["measure", str(path)]) == 1
+        assert main(["measure", str(path)] + ([] if n is None else ["--n", str(n)])) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ValueError: ") and captured.err.count("\n") == 1
-        assert f"{path} line {line}: " in captured.err
+        assert f"{path} line {line}: {says}" in captured.err
 
     def test_measure_fit_on_a_flat_histogram_fails_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "path.edges"

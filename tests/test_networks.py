@@ -25,6 +25,12 @@ from netgames.networks import (
 
 from conftest import connected_graphs
 
+try:
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+except ImportError:  # scipy is a test-only extra
+    connected_components = None
+
 
 def rho_bruteforce(g):
     """Direct enumeration of e_jk and q over the edge list (test oracle)."""
@@ -49,6 +55,31 @@ def rho_bruteforce(g):
             if (j, k) not in e:
                 total -= j * k * wj * wk
     return total / var
+
+
+def ba_one_draw_per_pick(n, m, seed):
+    """Preferential attachment with one scalar draw per pick (test oracle).
+
+    Returns the graph and how many arriving nodes needed more than m picks.
+    """
+    rng = np.random.default_rng(seed)
+    s = max(m, 2)
+    edges = [(i, j) for i in range(s) for j in range(i + 1, s)]
+    repeated = [node for e in edges for node in e]
+    collided = 0
+    for v in range(s, n):
+        targets: set[int] = set()
+        picks = 0
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+            picks += 1
+        collided += picks > m
+        chosen = sorted(targets)
+        for t in chosen:
+            edges.append((t, v))
+        repeated.extend(chosen)
+        repeated.extend([v] * m)
+    return Network(n, edges), collided
 
 
 def star(n):
@@ -155,6 +186,17 @@ class TestBarabasiAlbert:
         a = barabasi_albert(200, 2, seed=5)
         b = barabasi_albert(200, 2, seed=5)
         assert np.array_equal(a.edges, b.edges)
+
+    @pytest.mark.parametrize("n,m", [
+        (4, 1), (4, 2), (4, 3), (6, 5), (50, 3), (200, 2), (1000, 5), (3000, 3),
+        (20_000, 1), (20_000, 2),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_same_graph_as_one_draw_per_pick(self, n, m, seed):
+        ref, collided = ba_one_draw_per_pick(n, m, seed)
+        assert np.array_equal(barabasi_albert(n, m, seed).edges, ref.edges)
+        if (n, m) == (50, 3):
+            assert collided > 0  # so the block replay path ran
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=15)
@@ -309,6 +351,31 @@ class TestReaches:
                 assert reached == Network(g.n, swapped).is_connected()
 
 
+@st.composite
+def any_graphs(draw, max_n=24):
+    """Simple graph on 2..max_n nodes from random pairs, often disconnected."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+
+
+@pytest.mark.skipif(connected_components is None, reason="needs scipy")
+@given(any_graphs())
+@settings(max_examples=200)
+def test_reaches_agrees_with_scipy_components(graph):
+    n, edges = graph
+    rows, cols = zip(*edges) if edges else ((), ())
+    matrix = coo_array((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    count, labels = connected_components(matrix, directed=False)
+    adj = _adjacency(n, edges)
+    for start in range(n):
+        assert _reaches(adj, n, start) == (count == 1)
+        for goal in range(n):
+            if goal != start:
+                assert _reaches(adj, n, start, goal) == (labels[start] == labels[goal])
+
+
 class TestDegreeStats:
     def test_complete_graph(self):
         g = complete_graph(4)
@@ -333,6 +400,14 @@ class TestDegreeStats:
         c = hub_order(g, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # different shuffle among the all-tied nodes
+
+    @pytest.mark.parametrize("g", [
+        barabasi_albert(2000, 1, seed=16), barabasi_albert(500, 3, seed=17),
+        regular_random(60, 4, seed=18), star(7),
+    ], ids=["ba_m1", "ba_m3", "regular", "star"])
+    def test_hub_order_is_the_degree_then_tiebreak_lexsort(self, g):
+        tiebreak = np.random.default_rng(19).permutation(g.n)
+        assert np.array_equal(hub_order(g, seed=19), np.lexsort((tiebreak, -g.degrees)))
 
 
 class TestEdgelistIO:
