@@ -27,7 +27,7 @@ _KNOWN_ERRORS = (
     ValueError,
     KeyError,
     TypeError,
-    FileNotFoundError,
+    OSError,
     networks.TargetUnreachable,
 )
 

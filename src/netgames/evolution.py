@@ -3,7 +3,11 @@
 Two processes are provided. Death-birth replacement removes a uniformly
 random node each event and replaces its strategy with that of a neighbor
 drawn proportionally to fitness (payoff over degree); the replaced node keeps
-its edges but restarts with zero payoff and blank pair memories. The
+its edges but restarts with zero payoff and blank pair memories. Each death
+draws one uniform u for its parent: the neighbour whose cumulative fitness
+interval holds u times the total or, when every neighbour's fitness is 0,
+neighbour floor(u * degree), so the number of draws never depends on the
+payoffs. The
 stochastic adoption process instead marks a uniformly random node and lets it
 copy a random neighbor's strategy with probability proportional to their
 payoff gap, normalized by the larger degree and by the expected-payoff spread
@@ -28,7 +32,7 @@ on their networks' union. Once a replicate is extinct, the members get
 their own arrays back, and a new lockstep is built from the survivors.
 While more than ``engine._FEW_NODES`` replicates are live, a step's events
 run as one vectorised pass over all of the lockstep's members per event
-(:func:`_replace_members`, :func:`_adopt_members`), each replicate still
+(:func:`_replace_rows`, :func:`_adopt_members`), each replicate still
 drawing from its own stream in the order of its own events; fewer run one
 event at a time. The on-demand path, which takes one replicate, plays an
 edge only when an event, a sample or a strategy change reads it
@@ -151,52 +155,53 @@ def _fitness(pay: np.ndarray, degrees: np.ndarray, nodes: np.ndarray) -> np.ndar
 
 
 def _select_neighbor(pop: Population, x: int, rng: np.random.Generator) -> int:
-    """Neighbor of x drawn proportionally to fitness; uniform if all fitness is 0.
+    """Neighbor of x drawn proportionally to fitness by one uniform u.
 
-    The total fitness is the last cumulative weight, not a separate sum:
-    numpy's pairwise ``sum`` can differ from the sequential sum in the last
-    bits, and :func:`_cumulative_fitness` takes each row's total from a
-    row-wise cumsum. The neighbors' edges must be settled already.
+    If every neighbour's fitness is 0 the same u picks neighbour
+    floor(u * degree), uniformly. The total fitness is the last cumulative
+    weight, not a separate sum: numpy's pairwise ``sum`` can differ from the
+    sequential sum in the last bits, and :func:`_replace_rows` takes each
+    row's total from a row-wise cumsum. The neighbors' edges must be
+    settled already.
     """
     nbrs = _neighbors(pop, x)
     # array methods, not np.cumsum / np.searchsorted: same numbers, without
-    # the Python wrappers those add to every call. Likewise every event draws
-    # integers(0, n), the numbers of integers(n) ~1 µs a call sooner (numpy 2.4)
+    # the Python wrappers those add to every call
     c = _fitness(pop.pay, pop.net.degrees, nbrs).cumsum()
     tot = c[-1]
+    u = rng.random()
     if tot <= 0.0:
-        return int(nbrs[rng.integers(0, len(nbrs))])
-    idx = int(c.searchsorted(rng.random() * tot, side="right"))
+        return int(nbrs[int(u * len(nbrs))])
+    idx = int(c.searchsorted(u * tot, side="right"))
     if idx >= len(nbrs):
         idx = len(nbrs) - 1
     return int(nbrs[idx])
 
 
 def moran_event(
-    pop: Population, rng: np.random.Generator, x: int | np.ndarray | None = None
+    pop: Population, rng: np.random.Generator, x: np.ndarray | None = None
 ) -> tuple:
     """Death-birth events; returns (replaced node, parent neighbor).
 
-    Without ``x`` one event draws the node to replace and settles the edges
-    it reads. With ``x`` the caller has drawn it and settled those edges
-    (see :func:`netgames.engine.settle_around`). ``x`` may also be an array
-    of a step's deaths, drawn by the caller, as run() passes on the
-    on-demand path; every edge they read is then settled at once, and the
-    result is (deaths, parents) as arrays, bit-identical in every effect to
-    one call per death in draw order. Up to ``engine._FEW_NODES`` deaths
-    run one event at a time, more as :func:`_replace_all`, whose fixed cost
-    only more deaths repay.
+    Without ``x`` one event draws the node to replace, settles the edges it
+    reads and draws its parent's one uniform (see :func:`_select_neighbor`).
+    With ``x``, an array of a step's deaths drawn by the caller, as run()
+    passes on the on-demand path, every edge they read is settled at once,
+    and the result is (deaths, parents) as arrays, bit-identical in every
+    effect to one event per death in draw order: each death still draws one
+    uniform, in order. Up to ``engine._FEW_NODES`` deaths run one at a time,
+    more as :func:`_replace_all`, whose fixed cost only more deaths repay.
     """
     if x is None:
+        # integers(0, n): the numbers of integers(n), ~1 µs a call sooner (numpy 2.4)
         x = int(rng.integers(0, pop.n))
         settle_around(pop, [x])
-    elif np.ndim(x):
-        deaths = np.asarray(x, dtype=np.intp)
-        if len(deaths) > _FEW_NODES:
-            return deaths, _replace_all(pop, rng, deaths)
-        settle_around(pop, deaths)
-        return deaths, np.array([_replace(pop, rng, v) for v in deaths.tolist()], dtype=np.intp)
-    return x, _replace(pop, rng, x)
+        return x, _replace(pop, rng, x)
+    deaths = np.asarray(x, dtype=np.intp)
+    if len(deaths) > _FEW_NODES:
+        return deaths, _replace_all(pop, rng, deaths)
+    settle_around(pop, deaths)
+    return deaths, np.array([_replace(pop, rng, v) for v in deaths.tolist()], dtype=np.intp)
 
 
 def _replace(pop: Population, rng: np.random.Generator, x: int) -> int:
@@ -207,30 +212,31 @@ def _replace(pop: Population, rng: np.random.Generator, x: int) -> int:
     return y
 
 
-def _cumulative_fitness(
-    pay: np.ndarray, degrees: np.ndarray, nb: np.ndarray, deg: np.ndarray
-) -> np.ndarray:
-    """Rows of cumulative neighbour fitness, one per node whose row lengths are ``deg``.
+def _replace_rows(pop, x, u, pos, deg, nb, eid, slot=0) -> np.ndarray:
+    """:func:`_replace` of distinct settled nodes ``x``, whose events cannot interact.
 
-    ``nb`` holds the nodes' neighbours, row after row. The rows are
-    zero-padded to one width, which leaves each row's cumsum bit-equal to
-    the one :func:`_select_neighbor` takes of it, and the last column holds
-    each row's total.
+    Node i's parent is drawn by its uniform ``u[i]`` as
+    :func:`_select_neighbor` draws it; returns the parents. ``pos``, ``deg``
+    and ``nb`` are x's CSR positions, row lengths (none 0: callers refuse
+    isolated nodes first) and neighbours, and ``pop`` and ``slot`` go to
+    :func:`_write_back`. The rows of neighbour
+    fitness are zero-padded to one width, which leaves each row's cumsum
+    bit-equal to the one :func:`_select_neighbor` takes of it, and a row's
+    count of cumulative weights <= u * total is the index that searches
+    for, capped at the row's last entry.
     """
     width = deg.max()
     c = np.zeros((len(deg), width))
-    c[np.arange(width) < deg[:, None]] = _fitness(pay, degrees, nb)
-    return c.cumsum(axis=1, out=c)
-
-
-def _columns(c: np.ndarray, u: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Each row's fitness-drawn column for its uniform ``u`` (scaled in place).
-
-    A row's count of cumulative weights <= u * total is the index
-    :func:`_select_neighbor` searches for, capped at the row's last entry.
-    """
-    u *= c[:, -1]
-    return np.minimum((c <= u[:, None]).sum(axis=1), deg - 1)
+    c[np.arange(width) < deg[:, None]] = _fitness(pop.pay, pop.net.degrees, nb)
+    c.cumsum(axis=1, out=c)
+    tot = c[:, -1]
+    col = np.minimum((c <= (u * tot)[:, None]).sum(axis=1), deg - 1)
+    zero = tot <= 0.0
+    if zero.any():
+        col[zero] = u[zero] * deg[zero]  # floor(u * degree)
+    y = nb[deg.cumsum() - deg + col]
+    _write_back(pop, x, pop.strat[y], pos, deg, eid, slot)
+    return y
 
 
 def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) -> np.ndarray:
@@ -238,25 +244,23 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
 
     First settles every edge the deaths read, in one
     :func:`netgames.engine.settle_around` on their CSR rows (a no-op on the
-    dense path). The deaths then go in runs. A run ends before a death that
-    equals or neighbours an earlier death of the run, so no event of a run
-    reads what an earlier one wrote (a replaced node's payoff and strategy),
-    and each run is one vectorised pass: its parents chosen from its rows'
-    :func:`_cumulative_fitness`, drawn by one ``rng.random`` over the rows
-    (on PCG64 the numbers of one draw per row) with each zero-fitness row's
-    ``rng.integers(degree)`` taken in its place in the stream, and its
-    writes one :func:`_write_back`. The conflicts are found once per step,
-    by one scan of the deaths' rows against a set of the run's deaths, so
-    the work grows with the step's deaths and their edges, not with their
-    square. An isolated death raises IsolatedNode before any event.
+    dense path), and then draws every death's uniform in one ``rng.random``
+    (on PCG64 the numbers of one draw per death). The deaths then go in
+    runs. A run ends before a death that equals or neighbours an earlier
+    death of the run, so no event of a run reads what an earlier one wrote
+    (a replaced node's payoff and strategy), and each run is one
+    :func:`_replace_rows`. The conflicts are found once per step, by one
+    scan of the deaths' rows against a set of the run's deaths, so the work
+    grows with the step's deaths and their edges, not with their square. An
+    isolated death raises IsolatedNode before any event.
     """
     indptr, nbr, eid = pop.net.csr()
     pos, deg = _rows(indptr, deaths)
     if not deg.all():
         raise IsolatedNode(f"node {deaths[deg.argmin()]} has no neighbors")
     settle_around(pop, deaths, pos)
+    u = rng.random(len(deaths))
     nb = nbr[pos]
-    k = len(deaths)
     ends = deg.cumsum()
     starts = ends - deg
     bounds, run, rows = [0], set(), nb.tolist()
@@ -265,50 +269,14 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
             bounds.append(i)
             run = set()
         run.add(x)
-    bounds.append(k)
-
-    degrees = pop.net.degrees
-    parents = np.empty(k, dtype=nbr.dtype)
+    bounds.append(len(deaths))
+    parents = np.empty(len(deaths), dtype=nbr.dtype)
     for s, e in zip(bounds, bounds[1:]):
-        lo, hi, d = starts[s], ends[e - 1], deg[s:e]
-        c = _cumulative_fitness(pop.pay, degrees, nb[lo:hi], d)
-        u = np.zeros(e - s)
-        at, uniform = 0, []
-        zero = (c[:, -1] <= 0.0).nonzero()[0]
-        for z in zero.tolist():
-            rng.random(out=u[at:z])
-            uniform.append(rng.integers(0, d[z]))
-            at = z + 1
-        rng.random(out=u[at:])
-        col = _columns(c, u, d)
-        col[zero] = uniform
-        y = nb[starts[s:e] + col]
-        _write_back(pop, deaths[s:e], pop.strat[y], pos[lo:hi], d, eid)
-        parents[s:e] = y
+        lo, hi = starts[s], ends[e - 1]
+        parents[s:e] = _replace_rows(
+            pop, deaths[s:e], u[s:e], pos[lo:hi], deg[s:e], nb[lo:hi], eid
+        )
     return parents
-
-
-def _replace_members(lock: Lockstep, rngs: list, x: np.ndarray) -> None:
-    """One death-birth event of each of the lockstep's members, member i's at ``x[i]``.
-
-    One pass over the lockstep's union, bit-identical in every effect to
-    :func:`moran_event` on each member alone: member i, whose death ``x[i]``
-    (in union numbering) the caller drew from ``rngs[i]``, then draws its
-    parent's uniform (or, at a zero-fitness row, its neighbour's index), and
-    the members' events, on disjoint graphs, cannot read each other's
-    writes. No member has an isolated node, as :func:`run_replicates` checks.
-    """
-    indptr, nbr, eid = lock.net.csr()
-    pos, deg = _rows(indptr, x)
-    nb = nbr[pos]
-    c = _cumulative_fitness(lock.pay, lock.net.degrees, nb, deg)
-    tot = c[:, -1]
-    u = np.array([rng.random() if t > 0.0 else 0.0 for rng, t in zip(rngs, tot.tolist())])
-    col = _columns(c, u, deg)
-    for i in (tot <= 0.0).nonzero()[0].tolist():
-        col[i] = rngs[i].integers(0, deg[i])
-    y = nb[deg.cumsum() - deg + col]
-    _write_back(lock, x, lock.strat[y], pos, deg, eid, lock.slots)
 
 
 def adoption_probability(
@@ -561,11 +529,16 @@ def run_replicates(
                 union.pay[:] = 0.0
                 play_step(union, m, source)
             if rngs:  # more than _FEW_NODES live: one pass over all per event
+                indptr, nbr, eid = union.net.csr()
                 for _ in range(events):
-                    # each member's uniform node, its event's first draw
+                    # each member's uniform node, its event's first draw;
+                    # members' graphs are disjoint, so their events cannot
+                    # read each other's writes
                     x = union.first + [rng.integers(0, n) for rng in rngs]
                     if process == "moran":
-                        _replace_members(union, rngs, x)
+                        pos, deg = _rows(indptr, x)
+                        u = np.array([rng.random() for rng in rngs])
+                        _replace_rows(union, x, u, pos, deg, nbr[pos], eid, union.slots)
                     else:
                         _adopt_members(union, rngs, x, cfg)
             else:
@@ -596,9 +569,10 @@ def run_replicates(
             if not live:
                 break
             # some replicate lives on, so this was a lockstep: its members get
-            # their own arrays back, and it goes before the next one is built
+            # their own arrays back, and it goes, with its CSR, before the
+            # next one is built
             union.release()
-            union = source = None
+            union = source = indptr = nbr = eid = None
 
     records = []
     for rep, seed, run_id in zip(reps, seeds, run_ids):

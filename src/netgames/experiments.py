@@ -361,20 +361,26 @@ def load_config(path) -> Scenario:
     Blank lines and #-comments are skipped, as are result.* keys, so a
     previously written meta.txt is itself a valid config. Any other key that
     names no scenario field raises ValueError, so a typo cannot fall back to
-    a default.
+    a default. A line without ``=`` and a key's second line raise ValueError
+    naming the file and line (and, for a repeat, the key's first line).
     """
     mapping: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    first_line: dict[str, int] = {}
+    for num, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"not a key = value line: {line!r}")
+            raise ValueError(f"{path} line {num}: not a key = value line: {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key.startswith("result."):
-            continue
-        mapping[key] = value.strip()
+        if key in first_line:
+            raise ValueError(
+                f"{path} line {num}: {key!r} set again (first set on line {first_line[key]})"
+            )
+        first_line[key] = num
+        if not key.startswith("result."):
+            mapping[key] = value.strip()
     return scenario_from_mapping(mapping)
 
 

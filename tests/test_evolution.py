@@ -192,7 +192,7 @@ class TestMoranEvent:
                 else:
                     play_step(pop, M, rng)
                 assert pop.pay.tolist() == [15.0, 0.0, 3.0, 5.0, 3.0, 0.0]
-                picks = [moran_event(pop, rng, x) for x in deaths]
+                picks = [(x, evolution._replace(pop, rng, x)) for x in deaths]
                 assert picks == [(0, 2), (1, 3), (5, 0)], lazy
                 assert pop.strat.tolist() == [0, 1, 0, 1, 0, 0], lazy
 
@@ -217,7 +217,7 @@ class TestMoranEvent:
         # duplicates, neighbouring deaths, hubs and zero-fitness
         # neighbourhoods (a leaf whose hub died earlier in the step sees a
         # freshly reset payoff of 0) must leave every array and the stream
-        # as one moran_event per death in draw order leaves them
+        # as one event per death in draw order leaves them
         net, deaths, seed = step
         after = []
         for batched in (False, True):
@@ -234,7 +234,7 @@ class TestMoranEvent:
                 if batched:  # the batch itself, whatever the number of deaths
                     parents = evolution._replace_all(pop, rng, deaths).tolist()
                 else:
-                    parents = [moran_event(pop, rng, int(x))[1] for x in deaths]
+                    parents = [evolution._replace(pop, rng, int(x)) for x in deaths]
                 after.append((
                     parents, pop.strat.tolist(), pop.counts.tolist(), pop.pay.tobytes(),
                     pop.mem.tobytes(), pop._code.tobytes(), rng.bit_generator.state,
@@ -249,7 +249,7 @@ class TestMoranEvent:
             moran_event(pop, np.random.default_rng(0), deaths)
         with pytest.raises(IsolatedNode, match="node 3 has no neighbors"):
             for x in deaths.tolist():
-                moran_event(pop, np.random.default_rng(0), x)
+                evolution._replace(pop, np.random.default_rng(0), x)
 
     def test_batch_leaves_the_deaths_neighbourhoods_settled(self):
         net = barabasi_albert(300, 2, seed=70)
@@ -516,8 +516,8 @@ class TestMemberPass:
     # More than engine._FEW_NODES live dense replicates run a step's events
     # as one pass over their lockstep. Three graph shapes on 30 nodes, 3
     # deaths a step each at rate 0.1. A negative sucker's payoff
-    # lets a whole neighbourhood have fitness 0, whose parent is drawn by
-    # integers(degree) in the uniform's place.
+    # lets a whole neighbourhood have fitness 0, whose parent is neighbour
+    # floor(u * degree) of the one uniform u every death draws.
     NEG = PayoffMatrix(t=4.0, r=2.0, p=0.0, s=-1.0)
 
     def _pops(self, lonely=False):
@@ -553,25 +553,23 @@ class TestMemberPass:
         made.clear()
 
         calls = {"pass": 0, "zero rows": 0, "one at a time": 0}
-        member_pass = evolution._replace_members if process == "moran" else evolution._adopt_members
+        member_pass = evolution._replace_rows if process == "moran" else evolution._adopt_members
         one_event = evolution.moran_event if process == "moran" else evolution.adoption_event
-        columns = evolution._columns
 
         def count_pass(*args):
             calls["pass"] += 1
+            if process == "moran":  # rows whose neighbours all have fitness 0
+                pop, _, _, _, deg, nb = args[:6]
+                live = evolution._fitness(pop.pay, pop.net.degrees, nb) > 0.0
+                calls["zero rows"] += int((~np.logical_or.reduceat(live, deg.cumsum() - deg)).sum())
             return member_pass(*args)
 
         def count_event(*args):
             calls["one at a time"] += 1
             return one_event(*args)
 
-        def count_zero_rows(c, u, deg):
-            calls["zero rows"] += int((c[:, -1] <= 0.0).sum())
-            return columns(c, u, deg)
-
         monkeypatch.setattr(evolution, member_pass.__name__, count_pass)
         monkeypatch.setattr(evolution, one_event.__name__, count_event)
-        monkeypatch.setattr(evolution, "_columns", count_zero_rows)
         pops = self._pops()
         together = run_replicates(pops, process, 400, self.NEG, cfg, seeds, range(12), 20)
 
@@ -648,21 +646,72 @@ def ks_critical(n: int, m: int) -> float:
     return 1.628 * np.sqrt((n + m) / (n * m))
 
 
-def outcomes(monkeypatch, lazy, process, net, steps, seeds, rate=0.05):
+def outcomes(monkeypatch, lazy, process, net, steps, seeds, rate=0.05, rival=PAVLOV, m=M):
     """Final fraction and extinction step (steps + 1 if none) of seeded runs."""
     monkeypatch.setattr(evolution, "ON_DEMAND_EDGES_PER_STEP", 0 if lazy else net.num_edges)
     assert uses_on_demand(net.num_edges, 50) is lazy
     if process == "moran":
         cfg = MoranConfig(rate)
     else:
-        cfg = AdoptionConfig.for_pair(ZD, PAVLOV, M)
+        cfg = AdoptionConfig.for_pair(ZD, rival, m)
     final, extinct = [], []
     for s in seeds:
-        pop = init_random(net, ZD, PAVLOV, 0.6, seed=experiments.derive_seed(s, 1))
-        rec = run(pop, process, steps, M, cfg, experiments.derive_seed(s, 2), sample_every=50)
+        pop = init_random(net, ZD, rival, 0.6, seed=experiments.derive_seed(s, 1))
+        rec = run(pop, process, steps, m, cfg, experiments.derive_seed(s, 2), sample_every=50)
         final.append(rec.final_fraction_a)
         extinct.append(steps + 1 if rec.extinct_at is None else rec.extinct_at)
     return np.array(final), np.array(extinct)
+
+
+def _select_by_integers(pop, x, rng):
+    """:func:`_select_neighbor`, but a zero-fitness row draws integers(degree).
+
+    A row with some fitness draws the fitness uniform as the program does;
+    a row without draws a second kind of number in the uniform's place.
+    """
+    nbrs = evolution._neighbors(pop, x)
+    c = evolution._fitness(pop.pay, pop.net.degrees, nbrs).cumsum()
+    tot = c[-1]
+    if tot <= 0.0:
+        return int(nbrs[rng.integers(0, len(nbrs))])
+    idx = int(c.searchsorted(rng.random() * tot, side="right"))
+    if idx >= len(nbrs):
+        idx = len(nbrs) - 1
+    return int(nbrs[idx])
+
+
+class TestZeroFitnessParent:
+    # a death whose neighbours all have fitness 0 copies neighbour
+    # floor(u * degree) of the one uniform u every death draws; a separate
+    # integers(degree) draw samples the same process with other numbers, so
+    # dense solo runs under each rule, on disjoint seeds, must give outcome
+    # distributions that agree (KS, alpha = 0.01)
+    def test_outcome_distributions_match_a_separate_integer_draw(self, monkeypatch):
+        # a negative sucker's payoff and defectors that earn 0 among
+        # themselves make whole neighbourhoods of fitness 0; on BA(30, 2)
+        # each such row has at least two neighbours to choose from
+        net = barabasi_albert(30, 2, seed=40)
+        m = TestMemberPass.NEG
+        count = {}
+
+        def counted(select):
+            def select_and_count(pop, x, rng):
+                fit = evolution._fitness(pop.pay, pop.net.degrees, evolution._neighbors(pop, x))
+                count["deaths"] += 1
+                count["zero rows"] += not fit.any()
+                return select(pop, x, rng)
+            return select_and_count
+
+        results = []
+        for select, seeds in ((_select_neighbor, range(300)), (_select_by_integers, range(300, 600))):
+            count.update({"deaths": 0, "zero rows": 0})
+            monkeypatch.setattr(evolution, "_select_neighbor", counted(select))
+            results.append(outcomes(monkeypatch, False, "moran", net, 150, seeds, 0.05, DEFECTOR, m))
+            # 4,594 and 5,129 of ~78,000 deaths (6%): enough for the rule to matter
+            assert count["zero rows"] > 3000, (select.__name__, count)
+        for d, z in zip(*results):
+            assert len(np.unique(d)) > 10  # spread enough for the test to bite
+            assert ks_statistic(d, z) < ks_critical(len(d), len(z))
 
 
 class TestOnDemandPath:
@@ -713,7 +762,7 @@ class TestOnDemandPath:
         def one_by_one(pop, rng, x=None):
             settle_around(pop, x)
             for d in np.atleast_1d(x).tolist():
-                batched(pop, rng, d)
+                evolution._replace(pop, rng, d)
 
         after = []
         for event in (one_by_one, batched):

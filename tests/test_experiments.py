@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+import re
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -145,6 +147,22 @@ class TestScenarioMapping:
         lines = [f"{k} = {v}" for k, v in scenario_to_mapping(tiny_scenario()).items()]
         path.write_text("\n".join([*lines, "result.mean_final_fraction_a = 0.5", line]) + "\n")
         with pytest.raises(ValueError, match="unknown scenario key"):
+            load_config(path)
+
+    def test_config_file_names_a_line_without_equals(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text("# comment\n\nname = x\nsteps 200\n")
+        message = f"{path} line 4: not a key = value line: 'steps 200'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    def test_config_file_rejects_a_repeated_key(self, tmp_path):
+        # the later line would silently win otherwise: n = 300 here
+        path = tmp_path / "scenario.cfg"
+        lines = [f"{k} = {v}" for k, v in scenario_to_mapping(tiny_scenario()).items() if k != "n"]
+        path.write_text("\n".join(["n = 200", "", *lines, "n = 300"]) + "\n")
+        message = f"{path} line {len(lines) + 3}: 'n' set again (first set on line 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(path)
 
     def test_derive_seed_is_stable(self):
@@ -441,6 +459,39 @@ class TestRunScenario:
         assert not (tmp_path / "sweep").exists()
 
 
+# What scripts/output_digest.py prints for three small runs. A digest changes
+# when any byte a run writes changes, so a change to a random stream shows in
+# tier-1, not only in a rerun of the full profile. The digests hold for numpy
+# 2.4; other numpy versions may draw other numbers for the same seeds.
+_PINNED_DIGESTS = [
+    # 12 replicates: member passes while more than 8 live, then one event at a time
+    pytest.param(
+        "fig2_sf_moran", dict(n=60, steps=3000, replicates=12),
+        "29d8b061d85c0ce0f77aab067852fb4b3fb56113add1915f0d5ce4fbd9780e34", id="fig2",
+    ),
+    pytest.param(
+        "fig4b_sf_adoption_hubs", dict(n=60, steps=3000, replicates=12),
+        "6166c738f91017c4001da2f98144c1516ef5842914d685c84a4b425ad521c283", id="fig4b",
+    ),
+    # 8-regular on 1000 nodes: on demand, 10 deaths a step through one batch
+    pytest.param(
+        "fig1_wellmixed_moran", dict(n=1000, steps=200, replicates=1, replacement_rate=0.01),
+        "1e464c41793dd75b3034929ede1b62f4960e912bdbe589b31bab67421e9ddc68", id="fig1",
+    ),
+]
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="digests pinned on numpy 2.4")
+@pytest.mark.parametrize("name,overrides,expected", _PINNED_DIGESTS)
+def test_output_digest_is_pinned(tmp_path, name, overrides, expected):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    run_scenario(replace(preset(name), **overrides), out_dir=tmp_path / name)
+    assert module.digest(tmp_path / name) == expected
+
+
 class TestCLI:
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -535,6 +586,22 @@ class TestCLI:
             assert main(["measure", str(out / f"network_{group:02d}.edges")]) == 0
             measured = capsys.readouterr().out.split("rho = ")[1]
             assert float(measured) == rho == recorded[group]
+
+    @pytest.mark.parametrize("command", ["measure", "netgen"])
+    def test_unusable_path_fails_in_one_line(self, tmp_path, capsys, command):
+        # measure a directory (IsADirectoryError); netgen into an existing
+        # file (FileExistsError)
+        if command == "measure":
+            argv, error = ["measure", str(tmp_path)], "IsADirectoryError"
+        else:
+            (tmp_path / "file").write_text("kept\n")
+            argv = ["netgen", "fig2_sf_moran", "--set", "n=30", "--out", str(tmp_path / "file")]
+            error = "FileExistsError"
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+        if command == "netgen":
+            assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_netgen_infeasible_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "nets"
