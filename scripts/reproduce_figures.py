@@ -2,9 +2,9 @@
 """Run every scenario preset end to end and drop one CSV bundle per scenario.
 
 The full profile matches the headline protocols (n=1000, 150k steps) and takes
-minutes on two cores (the acceptance criteria's share of it runs in about 7);
---profile reduced (n=200, 30k steps) shows the same qualitative outcomes
-faster.
+minutes on two cores (the acceptance criteria's share of it ran in 9 m 48 s
+when last measured, with criterion 11 failing); --profile reduced (n=200,
+30k steps) shows the same qualitative outcomes faster.
 
 Examples:
     python scripts/reproduce_figures.py --profile reduced --parallel 2

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -118,13 +119,18 @@ def _cmd_correlate(args) -> int:
             if not row or row[0].startswith("#"):
                 continue
             try:
-                points.append((float(row[0]), float(row[1])))
+                point = (float(row[0]), float(row[1]))
             except (ValueError, IndexError):
-                if not header_allowed:
-                    raise ValueError(
-                        f"{args.csv} line {rows.line_num}: need two numbers, got {row!r}"
-                    ) from None
+                point = None
+            if point is None and header_allowed:
+                header_allowed = False
+                continue
             header_allowed = False
+            if point is None or not all(map(math.isfinite, point)):
+                raise ValueError(
+                    f"{args.csv} line {rows.line_num}: need two finite numbers, got {row!r}"
+                )
+            points.append(point)
     r = correlate(points)
     print(f"pearson_r = {r!r}")
     return 0

@@ -46,7 +46,7 @@ _MAX_GAP = 128
 
 
 class IsolatedNode(ValueError):
-    """Fitness is undefined for a node with no neighbors."""
+    """Fitness is undefined for a node with no neighbors; :class:`Population` refuses one."""
 
 
 class Population:
@@ -54,6 +54,8 @@ class Population:
 
     Change a node's strategy only through :func:`set_strategy`, which also
     keeps the per-edge pair codes the round looks its probabilities up by.
+    A network with a node of no neighbours raises IsolatedNode here, naming
+    the node, so no event or run needs to look for one.
     """
 
     def __init__(self, net: Network, strategies, strat: np.ndarray) -> None:
@@ -67,6 +69,8 @@ class Population:
             raise ValueError("need one strategy index per node")
         if strat.min() < 0 or strat.max() >= len(strategies):
             raise ValueError("strategy index out of range")
+        if not net.degrees.all():
+            raise IsolatedNode(f"node {net.degrees.argmin()} has no neighbors")
         self.net = net
         self.strategies: tuple[MemoryOneStrategy, ...] = strategies
         self.strat = strat

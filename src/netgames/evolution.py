@@ -21,15 +21,16 @@ freezes both processes short of the extinction outcomes they should reach;
 see the run() loop, which clears payoffs before each step's round of play.
 
 run() is :func:`run_replicates` of one population, and run_replicates()
-advances several of one node count, none with an isolated node, in
-lockstep: each step it plays every live replicate's round, then runs each
-replicate's events from that replicate's own stream, so a replicate's
-record is bit-identical to a run() of it alone. Rounds are played one of
-two ways, chosen by input size (see :func:`uses_on_demand`). The dense
-path plays every edge every step with ``engine.play_step``: one
-call for all live replicates, on their ``engine.Lockstep``, the population
-on their networks' union. Once a replicate is extinct, the members get
-their own arrays back, and a new lockstep is built from the survivors.
+advances several of one node count in lockstep: each step it plays every
+live replicate's round, then runs each replicate's events from that
+replicate's own stream, so a replicate's record is bit-identical to a
+run() of it alone. No node is isolated: ``engine.Population`` refuses
+one. Rounds are played one of two ways, chosen by input size (see
+:func:`uses_on_demand`). The dense path plays every edge every step with
+``engine.play_step``: one call for all live replicates, on their
+``engine.Lockstep``, the population on their networks' union. Once a
+replicate is extinct, the members get their own arrays back, and a new
+lockstep is built from the survivors.
 While more than ``engine._FEW_NODES`` replicates are live, a step's events
 run as one vectorised pass over all of the lockstep's members per event
 (:func:`_replace_rows`, :func:`_adopt_members`), each replicate still
@@ -61,7 +62,6 @@ import numpy as np
 
 from .engine import (
     _FEW_NODES,
-    IsolatedNode,
     Lockstep,
     Population,
     _round_half_up,
@@ -141,12 +141,9 @@ class AdoptionConfig:
 
 
 def _neighbors(pop: Population, x: int) -> np.ndarray:
-    """x's row of the CSR neighbour array; an isolated x raises IsolatedNode."""
+    """x's row of the CSR neighbour array, never empty (see ``engine.Population``)."""
     indptr, nbr, _ = pop.net.csr()
-    lo, hi = indptr[x], indptr[x + 1]
-    if hi == lo:
-        raise IsolatedNode(f"node {x} has no neighbors")
-    return nbr[lo:hi]
+    return nbr[indptr[x] : indptr[x + 1]]
 
 
 def _fitness(pay: np.ndarray, degrees: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -217,13 +214,13 @@ def _replace_rows(pop, x, u, pos, deg, nb, eid, slot=0) -> np.ndarray:
 
     Node i's parent is drawn by its uniform ``u[i]`` as
     :func:`_select_neighbor` draws it; returns the parents. ``pos``, ``deg``
-    and ``nb`` are x's CSR positions, row lengths (none 0: callers refuse
-    isolated nodes first) and neighbours, and ``pop`` and ``slot`` go to
-    :func:`_write_back`. The rows of neighbour
-    fitness are zero-padded to one width, which leaves each row's cumsum
-    bit-equal to the one :func:`_select_neighbor` takes of it, and a row's
-    count of cumulative weights <= u * total is the index that searches
-    for, capped at the row's last entry.
+    and ``nb`` are x's CSR positions, row lengths (none 0: a population has
+    no isolated node) and neighbours, and ``pop`` and ``slot`` go to
+    :func:`_write_back`. The rows of neighbour fitness are zero-padded to
+    one width, which leaves each row's cumsum bit-equal to the one
+    :func:`_select_neighbor` takes of it, and a row's count of cumulative
+    weights <= u * total is the index that searches for, capped at the
+    row's last entry.
     """
     width = deg.max()
     c = np.zeros((len(deg), width))
@@ -251,13 +248,10 @@ def _replace_all(pop: Population, rng: np.random.Generator, deaths: np.ndarray) 
     (a replaced node's payoff and strategy), and each run is one
     :func:`_replace_rows`. The conflicts are found once per step, by one
     scan of the deaths' rows against a set of the run's deaths, so the work
-    grows with the step's deaths and their edges, not with their square. An
-    isolated death raises IsolatedNode before any event.
+    grows with the step's deaths and their edges, not with their square.
     """
     indptr, nbr, eid = pop.net.csr()
     pos, deg = _rows(indptr, deaths)
-    if not deg.all():
-        raise IsolatedNode(f"node {deaths[deg.argmin()]} has no neighbors")
     settle_around(pop, deaths, pos)
     u = rng.random(len(deaths))
     nb = nbr[pos]
@@ -327,7 +321,7 @@ def _adopt_members(lock: Lockstep, rngs: list, x: np.ndarray, cfg: AdoptionConfi
     ``x[i]`` (in union numbering) the caller drew from ``rngs[i]``, then
     draws its neighbour's index and its acceptance uniform, and the members'
     events, on disjoint graphs, cannot read each other's writes. No member
-    has an isolated node, as :func:`run_replicates` checks.
+    has an isolated node: ``engine.Population`` refuses one.
     """
     indptr, nbr, eid = lock.net.csr()
     degrees = lock.net.degrees
@@ -414,29 +408,35 @@ def run(
 
 
 class _Replicate:
-    """One population's stream, samples and extinction step in the run loop."""
+    """One population's stream, and its RunRecord, which the run loop fills in place."""
 
-    def __init__(self, pop: Population, seed: int, k_samples: int) -> None:
+    def __init__(
+        self, pop: Population, focal_index: int, run_id, seed, steps, sample_every, sample_steps
+    ) -> None:
         self.pop = pop
         self.rng = np.random.default_rng(seed)
+        self.focal_index = focal_index
+        a, b = focal_index, 1 - focal_index
+        labels = [s.label for s in pop.strategies]
+        degrees = class_mean_degrees(pop)
         # fraction a, fraction b, mean payoff a, mean payoff b per sample
-        self.samples = np.empty((4, k_samples))
-        self.class_mean_degrees = class_mean_degrees(pop)
-        self.extinct_at: int | None = None
+        samples = np.empty((4, len(sample_steps)))
+        self.rec = RunRecord(
+            run_id, seed, steps, sample_every, labels[a], labels[b], sample_steps, *samples,
+            class_mean_deg_a=degrees[a], class_mean_deg_b=degrees[b],
+            mean_degree=pop.net.mean_degree,
+        )
 
-    def record(self, k: int, focal_index: int) -> None:
-        pop = self.pop
+    def record(self, k: int) -> None:
+        pop, rec = self.pop, self.rec
         settle(pop)
         n = pop.n
-        ca = int(pop.counts[focal_index])
+        ca = int(pop.counts[self.focal_index])
         cb = n - ca
-        mask = pop.strat == focal_index
-        self.samples[:, k] = (
-            ca / n,
-            cb / n,
-            pop.pay[mask].mean() if ca else float("nan"),
-            pop.pay[~mask].mean() if cb else float("nan"),
-        )
+        mask = pop.strat == self.focal_index
+        rec.frac_a[k], rec.frac_b[k] = ca / n, cb / n
+        rec.mean_pay_a[k] = pop.pay[mask].mean() if ca else float("nan")
+        rec.mean_pay_b[k] = pop.pay[~mask].mean() if cb else float("nan")
 
 
 def run_replicates(
@@ -454,12 +454,12 @@ def run_replicates(
 
     Population i runs with seed ``seeds[i]`` and is reported as
     ``run_ids[i]``; each population may be passed once. All share one node
-    count, so one number of events per step, and an isolated node raises
-    IsolatedNode, named by its own population's index, before step 1. On
-    the dense path the live populations' rounds are one ``engine.play_step``
-    on their ``engine.Lockstep``. Whenever one goes extinct, that lockstep
-    gives its members their own arrays back and is dropped, and a new one is
-    built from the live ones. While more than ``engine._FEW_NODES`` are
+    count, so one number of events per step. Each population's record is
+    built before step 1 and filled in place. On the dense path the live
+    populations' rounds are one ``engine.play_step`` on their
+    ``engine.Lockstep``. Whenever one goes extinct, that lockstep gives its
+    members their own arrays back and is dropped, and a new one is built
+    from the live ones. While more than ``engine._FEW_NODES`` are
     live, their events are one pass over all of them per event. Each still
     draws from its own stream in the order it would alone, so its record is
     bit-identical to that of :func:`run` on it alone. The on-demand path
@@ -492,26 +492,25 @@ def run_replicates(
     for i, pop in enumerate(pops):  # checked once: no network changes during a run
         if pop.n != n:
             raise ValueError(f"replicates need one node count: population {i} has {pop.n}, not {n}")
-        if not pop.net.degrees.all():
-            raise IsolatedNode(f"node {pop.net.degrees.argmin()} has no neighbors")
     lazy = any(uses_on_demand(pop.net.num_edges, sample_every) for pop in pops)
     if lazy and len(pops) > 1:
         raise ValueError("the on-demand path runs one population at a time")
-    other = 1 - focal_index
 
     sample_steps = np.arange(0, steps + 1, sample_every)
     if sample_steps[-1] != steps:
         sample_steps = np.append(sample_steps, steps)
-    k_samples = len(sample_steps)
-    reps = [_Replicate(pop, seed, k_samples) for pop, seed in zip(pops, seeds)]
+    reps = [
+        _Replicate(pop, focal_index, run_id, seed, steps, sample_every, sample_steps)
+        for pop, seed, run_id in zip(pops, seeds, run_ids)
+    ]
     events = cfg.events_per_step(n) if process == "moran" else 1
 
     with on_demand(pops[0], m, reps[0].rng) if lazy else nullcontext():
         live = []
         for rep in reps:
-            rep.record(0, focal_index)
+            rep.record(0)
             if not rep.pop.counts.all():
-                rep.extinct_at = 0
+                rep.rec.extinct_at = 0
             else:
                 live.append(rep)
         union = None
@@ -554,9 +553,9 @@ def run_replicates(
                     else:
                         for _ in range(events):
                             moran_event(pop, rng)
-            if next_k < k_samples and t == sample_steps[next_k]:
+            if next_k < len(sample_steps) and t == sample_steps[next_k]:
                 for rep in live:
-                    rep.record(next_k, focal_index)
+                    rep.record(next_k)
                 next_k += 1
             # the live replicates' class counts lie side by side in the
             # lockstep's array (or the last one's own): a zero is an extinction
@@ -564,8 +563,8 @@ def run_replicates(
                 continue
             for rep in live:
                 if not rep.pop.counts.all():
-                    rep.extinct_at = t
-            live = [rep for rep in live if rep.extinct_at is None]
+                    rep.rec.extinct_at = t
+            live = [rep for rep in live if rep.rec.extinct_at is None]
             if not live:
                 break
             # some replicate lives on, so this was a lockstep: its members get
@@ -574,38 +573,18 @@ def run_replicates(
             union.release()
             union = source = indptr = nbr = eid = None
 
-    records = []
-    for rep, seed, run_id in zip(reps, seeds, run_ids):
-        frac_a, frac_b, pay_a, pay_b = rep.samples
-        if rep.extinct_at is not None:
+    for rep in reps:
+        rec = rep.rec
+        if rec.extinct_at is not None:
             # samples after the extinction step hold the absorbing state
-            k = int(np.searchsorted(sample_steps, rep.extinct_at, side="right"))
+            k = int(np.searchsorted(sample_steps, rec.extinct_at, side="right"))
             absorbed = 1.0 if rep.pop.counts[focal_index] else 0.0
-            frac_a[k:] = absorbed
-            frac_b[k:] = 1.0 - absorbed
-            pay_a[k:] = float("nan")
-            pay_b[k:] = float("nan")
-        records.append(
-            RunRecord(
-                run_id=run_id,
-                seed=seed,
-                steps=steps,
-                sample_every=sample_every,
-                label_a=rep.pop.strategies[focal_index].label,
-                label_b=rep.pop.strategies[other].label,
-                sample_steps=sample_steps,
-                frac_a=frac_a,
-                frac_b=frac_b,
-                mean_pay_a=pay_a,
-                mean_pay_b=pay_b,
-                final_fraction_a=float(frac_a[-1]),
-                extinct_at=rep.extinct_at,
-                class_mean_deg_a=rep.class_mean_degrees[focal_index],
-                class_mean_deg_b=rep.class_mean_degrees[other],
-                mean_degree=rep.pop.net.mean_degree,
-            )
-        )
-    return records
+            rec.frac_a[k:] = absorbed
+            rec.frac_b[k:] = 1.0 - absorbed
+            rec.mean_pay_a[k:] = float("nan")
+            rec.mean_pay_b[k:] = float("nan")
+        rec.final_fraction_a = float(rec.frac_a[-1])
+    return [rep.rec for rep in reps]
 
 
 def write_run_csv(rec: RunRecord, path) -> None:

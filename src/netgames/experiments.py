@@ -134,7 +134,7 @@ class Scenario:
         if self.rho_targets and self.family != "ba":
             raise ValueError(f"rho_targets needs the ba family, not {self.family!r}")
         try:
-            self.matrix  # PayoffMatrix enforces t > r > p > s
+            self.matrix  # PayoffMatrix enforces finite t > r > p > s
         except ValueError as exc:
             raise ValueError(f"payoff_t, payoff_r, payoff_p, payoff_s: {exc}") from None
 
@@ -297,12 +297,16 @@ def preset(name: str) -> Scenario:
 
 
 def correlate(points) -> float:
-    """Pearson correlation coefficient of a sequence of (x, y) pairs."""
+    """Pearson correlation coefficient of a sequence of finite (x, y) pairs."""
     pts = list(points)
     if len(pts) < 2:
         raise DegenerateInput("need at least two points")
     x = np.array([p[0] for p in pts], dtype=float)
     y = np.array([p[1] for p in pts], dtype=float)
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DegenerateInput(f"point {i} is not finite: {pts[i]!r}")
     sx = float(x.std())
     sy = float(y.std())
     if sx == 0.0 or sy == 0.0:
@@ -571,11 +575,13 @@ def run_scenario(s: Scenario, out_dir, parallelism: int = 1) -> SweepResult:
     k = -(-len(tasks) // size)
     batches = [tasks[i::k] for i in range(k)]
     args = ([s] * k, [runs_dir] * k, batches)
-    if parallelism > 1:
+    # a pool starts all its workers at its first task, so start no idle ones
+    workers = min(parallelism, k)
+    if workers > 1:
         # imported here: it is a sixth of the time ``import netgames`` takes
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_execute_batch, *args))
     else:
         done = list(map(_execute_batch, *args))

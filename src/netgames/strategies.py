@@ -36,7 +36,8 @@ PERSPECTIVE_SWAP: tuple[Outcome, ...] = (Outcome.CC, Outcome.DC, Outcome.CD, Out
 class PayoffMatrix:
     """The four PD payoffs: temptation, reward, punishment, sucker.
 
-    The strict dilemma ordering t > r > p > s is enforced on construction.
+    Finite payoffs in the strict dilemma ordering t > r > p > s are enforced
+    on construction.
     """
 
     t: float
@@ -45,9 +46,9 @@ class PayoffMatrix:
     s: float
 
     def __post_init__(self) -> None:
-        if not (self.t > self.r > self.p > self.s):
+        if not (np.isfinite(self.as_tuple()).all() and self.t > self.r > self.p > self.s):
             raise ValueError(
-                f"payoffs must satisfy t > r > p > s, got "
+                f"payoffs must be finite and satisfy t > r > p > s, got "
                 f"({self.t}, {self.r}, {self.p}, {self.s})"
             )
 

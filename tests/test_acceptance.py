@@ -2,8 +2,8 @@
 
 Runs at a reduced desk profile by default (n=200, 30k steps per run). Set
 NETGAMES_ACCEPT_PROFILE=full for the headline scale (n=1000, 150k steps;
-about 7 minutes on two cores). NETGAMES_ACCEPT_PARALLEL sets worker
-processes (default 2).
+9 m 48 s on two cores when last measured, with criterion 11 failing).
+NETGAMES_ACCEPT_PARALLEL sets worker processes (default 2).
 """
 
 import os

@@ -20,7 +20,6 @@ from netgames.engine import (
     tick,
 )
 import netgames.engine as engine
-from netgames.evolution import AdoptionConfig, adoption_event, moran_event
 from netgames.experiments import derive_seed
 from netgames.networks import Network, barabasi_albert, regular_random
 from netgames.pairchain import expected_payoffs, pair_transition
@@ -517,26 +516,19 @@ class TestOnDemand:
 
 class TestFitnessAndReset:
     def test_isolated_node_rejected(self):
-        # both events raise when the node they draw has no neighbours
+        # refused where the population is built, so no event can draw it
         net = Network(3, [(0, 1)])
-        pop = Population(net, (ZD,), np.zeros(3, dtype=int))
-        cfg = AdoptionConfig.for_pair(ZD, PAVLOV, M)
-        seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == 2)
-        with pytest.raises(IsolatedNode):
-            moran_event(pop, np.random.default_rng(seed))
-        with pytest.raises(IsolatedNode):
-            adoption_event(pop, cfg, np.random.default_rng(seed))
+        with pytest.raises(IsolatedNode, match="^node 2 has no neighbors$"):
+            Population(net, (ZD,), np.zeros(3, dtype=int))
 
     def test_isolated_node_rejected_on_demand(self):
-        # a death draws the node and settles around it before it looks for a
-        # parent; an isolated node has nothing to settle and still raises
+        # both initialisers build through Population, so no run, dense or
+        # on demand, can start with a node that has nothing to settle
         net = Network(3, [(0, 1)])
-        pop = Population(net, (ZD,), np.zeros(3, dtype=int))
-        seed = next(s for s in range(100) if np.random.default_rng(s).integers(3) == 2)
-        with on_demand(pop, M, np.random.default_rng(0)):
-            tick(pop)
-            with pytest.raises(IsolatedNode):
-                moran_event(pop, np.random.default_rng(seed))
+        with pytest.raises(IsolatedNode, match="^node 2 has no neighbors$"):
+            init_random(net, ZD, PAVLOV, 0.5, seed=0)
+        with pytest.raises(IsolatedNode, match="^node 2 has no neighbors$"):
+            init_hubs(net, ZD, PAVLOV, 0.5, seed=0)
 
     def test_reset_clears_payoff_and_incident_memory_only(self):
         net = Network(4, [(0, 1), (1, 2), (2, 3)])

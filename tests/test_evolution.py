@@ -242,14 +242,10 @@ class TestMoranEvent:
         assert after[0] == after[1]
 
     def test_batch_with_an_isolated_death_raises(self):
+        # refused where the population is built, before any batch could draw it
         net = Network(4, [(0, 1), (1, 2)])
-        pop = Population(net, (ZD, PAVLOV), np.array([0, 1, 0, 1]))
-        deaths = np.array([0, 2, 1, 0, 3, 1, 2, 0, 1, 2])  # more than a few: a batch
-        with pytest.raises(IsolatedNode, match="node 3 has no neighbors"):
-            moran_event(pop, np.random.default_rng(0), deaths)
-        with pytest.raises(IsolatedNode, match="node 3 has no neighbors"):
-            for x in deaths.tolist():
-                evolution._replace(pop, np.random.default_rng(0), x)
+        with pytest.raises(IsolatedNode, match="^node 3 has no neighbors$"):
+            Population(net, (ZD, PAVLOV), np.array([0, 1, 0, 1]))
 
     def test_batch_leaves_the_deaths_neighbourhoods_settled(self):
         net = barabasi_albert(300, 2, seed=70)
@@ -504,10 +500,11 @@ class TestRunReplicates:
             other = init_random(barabasi_albert(40, 2, seed=56), ZD, PAVLOV, 0.5, seed=57)
             error, match = ValueError, "node count: population 1 has 40, not 50"
         else:
-            # refused before any step, even where no event would reach it
+            # refused where the population is built, so it never reaches a run
             net = Network(50, [(v, v + 1) for v in range(30)])
-            other = init_random(net, ZD, PAVLOV, 1.0, seed=57)
-            error, match = IsolatedNode, "^node 31 has no neighbors$"
+            with pytest.raises(IsolatedNode, match="^node 31 has no neighbors$"):
+                init_random(net, ZD, PAVLOV, 1.0, seed=57)
+            return
         with pytest.raises(error, match=match):
             run_replicates([pop, other], "moran", 300, M, MoranConfig(0.1), [5, 6], [0, 1])
 
@@ -594,15 +591,15 @@ class TestMemberPass:
 
     @pytest.mark.parametrize("process", ["moran", "adoption"])
     def test_isolated_node_named_by_its_members_index(self, process):
-        # the lonely member comes last: its node is named by its own index,
-        # not by its index in a lockstep of the members
+        # the lonely member, last of 12, is refused where it is built, so no
+        # run of the 12 starts: its node is named by its own index, not by
+        # its index in a lockstep of the members
         seeds = range(90, 102)
-        cfg = self._cfg(process)
-        with pytest.raises(IsolatedNode) as alone:
-            run(self._pops(lonely=True)[-1], process, 400, self.NEG, cfg, seeds[-1])
-        assert str(alone.value) in {f"node {v} has no neighbors" for v in range(6, 10)}
-        with pytest.raises(IsolatedNode, match=f"^{alone.value}$"):
-            run_replicates(self._pops(lonely=True), process, 400, self.NEG, cfg, seeds, range(12))
+        with pytest.raises(IsolatedNode, match="^node 6 has no neighbors$") as refused:
+            run_replicates(
+                self._pops(lonely=True), process, 400, self.NEG, self._cfg(process), seeds, range(12)
+            )
+        assert refused.traceback[-1].frame.code.raw is Population.__init__.__code__
 
 
 class TestNeutralDrift:

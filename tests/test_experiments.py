@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import re
@@ -119,6 +120,12 @@ class TestCorrelate:
         with pytest.raises(DegenerateInput):
             correlate([(1, 2), (3, 2)])
 
+    @pytest.mark.parametrize("bad", [(float("nan"), 1.0), (1.0, float("inf")), (float("-inf"), 0.0)])
+    def test_non_finite_point_is_refused(self, bad):
+        # min(1, max(-1, nan)) is -1: a nan must not come back as a correlation
+        with pytest.raises(DegenerateInput, match=re.escape(f"point 2 is not finite: {bad!r}")):
+            correlate([(0, 0), (1, 2), bad, (3, 1), (4, float("nan"))])
+
 
 class TestScenarioMapping:
     def test_mapping_roundtrip_with_targets(self):
@@ -193,6 +200,8 @@ _BAD_VALUES = [
     ("steps", 0),
     ("rho_targets", (0.1, 0.2)),  # tiny_scenario is a regular graph
     ("rho_targets", (-0.2,)),  # one target leaves nothing to correlate
+    ("payoff_t", float("inf")),  # in order, but a run would freeze at its start
+    ("payoff_s", float("-inf")),
 ]
 
 
@@ -404,6 +413,34 @@ class TestRunScenario:
             ),
         }
 
+    @pytest.mark.parametrize("parallelism", [1, 2, 64])
+    @pytest.mark.parametrize("replicates", [1, 5])
+    def test_starts_no_more_workers_than_batches(
+        self, tmp_path, monkeypatch, parallelism, replicates
+    ):
+        sizes = []
+
+        class Pool:  # records its size and maps in process, so no process starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        s = tiny_scenario(replicates=replicates)
+        result = run_scenario(s, out_dir=tmp_path / "out", parallelism=parallelism)
+        assert len(result.records) == replicates
+        # tiny replicates batch one per worker: 1 batch, or min(parallelism, 5)
+        workers = min(parallelism, replicates)
+        assert sizes == ([workers] if workers > 1 else [])
+
     @pytest.mark.parametrize(
         "case", ["plain", "sweep", "extinct_at_start", "staggered_extinction"]
     )
@@ -459,7 +496,7 @@ class TestRunScenario:
         assert not (tmp_path / "sweep").exists()
 
 
-# What scripts/output_digest.py prints for three small runs. A digest changes
+# What scripts/output_digest.py prints for six small runs. A digest changes
 # when any byte a run writes changes, so a change to a random stream shows in
 # tier-1, not only in a rerun of the full profile. The digests hold for numpy
 # 2.4; other numpy versions may draw other numbers for the same seeds.
@@ -477,6 +514,23 @@ _PINNED_DIGESTS = [
     pytest.param(
         "fig1_wellmixed_moran", dict(n=1000, steps=200, replicates=1, replacement_rate=0.01),
         "1e464c41793dd75b3034929ede1b62f4960e912bdbe589b31bab67421e9ddc68", id="fig1",
+    ),
+    # Pavlov on the hubs, reported as "a" by focal index 1; every replicate
+    # goes extinct, so every run file is padded after its extinction step
+    pytest.param(
+        "fig4b_sf_adoption_hubs_pavlov", dict(n=60, steps=3000, replicates=12),
+        "22cb9f7b67c91187ea1759b44beb61cc41c48cd834b8320336805dba8d9e424f", id="fig4b_pavlov",
+    ),
+    # a draw per replicate, and aggregate.csv's target and achieved rho; all
+    # ten draws reach rho_tol of their targets, so no walk spends its budget
+    pytest.param(
+        "fig7_assortativity_sweep", dict(n=200, steps=2000, replicates=2),
+        "636d954e9df5a3fc783f02431d71b339fc1c9917c865bfe59013a151e9f11a14", id="fig7",
+    ),
+    # 8-regular on 1000 nodes: adoption on demand, a neighbour row read per event
+    pytest.param(
+        "fig3_wellmixed_adoption", dict(n=1000, steps=300, replicates=2),
+        "59f53a732feadd8d8adf407d121e083a70bb81e9d0e166b5b5b947abad340a03", id="fig3",
     ),
 ]
 
@@ -553,7 +607,8 @@ class TestCLI:
         ("fig2_sf_moran", ["--set", "n=1"]),  # BA needs m < n
         ("fig1_wellmixed_moran", ["--set", "n=30", "--set", "payoff_t=1"]),  # breaks t > r > p > s
         ("fig1_wellmixed_moran", ["--set", "n=30", "--parallel", "0"]),
-    ], ids=["regular", "ba", "payoff", "parallel"])
+        ("fig4b_sf_adoption_hubs", ["--set", "payoff_t=inf"]),
+    ], ids=["regular", "ba", "payoff", "parallel", "infinite_payoff"])
     def test_bad_network_parameter_leaves_no_output(self, tmp_path, capsys, target, options):
         out = tmp_path / "out"
         argv = ["run", target, "--out", str(out), *options]
@@ -660,7 +715,9 @@ class TestCLI:
         ("x,y\n0.1,0.2\n0.3\n0.5,0.9\n", 3),  # one column
         ("x,y\n0.1,0.2\n0.3,abc\n0.5,0.9\n0.7,0.1\n", 3),  # not a number
         ("# points\n0.1,0.2\nx,y\n0.5,0.9\n", 3),  # a header after the data
-    ], ids=["short", "unparsable", "late_header"])
+        ("x,y\n0.1,0.2\n0.3,nan\n0.5,0.9\n", 3),
+        ("inf,0.2\n0.3,0.1\n0.5,0.9\n", 1),  # a first row of numbers is no header
+    ], ids=["short", "unparsable", "late_header", "nan", "inf"])
     def test_correlate_rejects_a_bad_row_by_line(self, tmp_path, capsys, text, line):
         data = tmp_path / "pts.csv"
         data.write_text(text)
